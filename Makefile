@@ -12,19 +12,22 @@ test:
 
 # check is the per-PR verification gate: formatting and static analysis,
 # the facade-coverage rule (every internal type reachable from the public
-# surface must be re-exported — run first and by name so a facade hole
-# fails loudly before the long race run), the full test suite under the
-# race detector (the platform tests exercise real TCP concurrency, and the
-# parallel payment phase and sweep runner exercise their scratch state), a
-# bounded run of the reference/optimized SSAM differential fuzzer (its
-# seed corpus also runs as plain tests, so the kernel equivalence is a
-# standing gate), then a quick bench-repro smoke run proving the
-# end-to-end figure pipeline and its wall-clock report still work.
+# surface must be re-exported) and the map-order float rule (no float
+# accumulation inside a range over a map) — both run first and by name
+# so a violation fails loudly before the long race run — the full test
+# suite under the race detector (the platform tests exercise real TCP
+# concurrency, and the parallel payment phase and sweep runner exercise
+# their scratch state), a bounded run of the reference/optimized SSAM
+# differential fuzzer (its seed corpus also runs as plain tests, so the
+# kernel equivalence is a standing gate), then a quick bench-repro smoke
+# run proving the end-to-end figure pipeline and its wall-clock report
+# still work.
 check:
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -run '^TestFacadeCoverage$$' -count=1 .
+	$(GO) test -run '^TestNoFloatAccumulationInMapRange$$' -count=1 .
 	$(GO) test -race ./...
 	$(GO) test -run '^$$' -fuzz '^FuzzSSAMDifferential$$' -fuzztime 10s \
 		./internal/core
@@ -69,6 +72,10 @@ fuzz:
 		./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzReadAudit$$' -fuzztime $(FUZZTIME) \
 		./internal/platform
+	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime $(FUZZTIME) \
+		./internal/workload
+	$(GO) test -run '^$$' -fuzz '^FuzzReadInstance$$' -fuzztime $(FUZZTIME) \
+		./internal/workload
 
 # soak-quick is the chaos gate: the 250-round churn+fault scenario must
 # (a) produce a byte-identical audit log across two runs of the same seed

@@ -55,8 +55,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		crashDir      = fs.String("crash-dir", "", "working dir for platform-crash and pipeline comparison runs (default: a temp dir)")
 		snapshotEvery = fs.Int("snapshot-every", 10, "checkpoint the crashed pass every N rounds (platform-crash runs; 0 disables)")
 		fsync         = fs.Bool("fsync", false, "fsync the WAL on every append (platform-crash runs)")
-		mechanism     = fs.String("mechanism", "", "override the scenario mechanism spec, e.g. 'posted-price' or 'double-auction:overbook=1.25'")
+		mechanism     core.MechanismSpec
 	)
+	fs.Var(&mechanism, "mechanism", "override the scenario mechanism spec, e.g. 'posted-price' or 'double-auction:overbook=1.25'")
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
@@ -83,13 +84,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *rounds != 0 {
 		sc.Rounds = *rounds
 	}
-	if *mechanism != "" {
-		spec, err := core.ParseMechanismSpec(*mechanism)
-		if err != nil {
-			fmt.Fprintf(stderr, "chaos: %v\n", err)
-			return 1
-		}
-		sc.Mechanism = &spec
+	if !mechanism.IsZero() {
+		sc.Mechanism = &mechanism
 	}
 
 	if *printScenario {

@@ -70,17 +70,10 @@ func run(args []string) error {
 	loadThink := fs.Duration("load-think", 2*time.Millisecond, "simulated per-session bid decision latency for -load")
 	loadPerConn := fs.Int("load-conns", 0, "agents multiplexed per TCP session for -load (0 = default)")
 	loadJSON := fs.Bool("load-json", false, "emit the -load result as JSON")
-	mechanism := fs.String("mechanism", "", "mechanism spec, e.g. 'posted-price:epsilon=0.1' or 'double-auction:overbook=1.25' (empty = ssam)")
+	var mechSpec core.MechanismSpec
+	fs.Var(&mechSpec, "mechanism", "mechanism spec, e.g. 'posted-price:epsilon=0.1' or 'double-auction:overbook=1.25' (empty = ssam)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	var mechSpec core.MechanismSpec
-	if *mechanism != "" {
-		spec, err := core.ParseMechanismSpec(*mechanism)
-		if err != nil {
-			return err
-		}
-		mechSpec = spec
 	}
 	if *loadAgents > 0 {
 		return runLoad(loadFlags{
@@ -93,7 +86,7 @@ func run(args []string) error {
 		fmt.Println(strings.Join(workload.BuiltinGraphNames(), "\n"))
 		return nil
 	}
-	graph, err := resolveGraph(*workloadName, *topologyPath)
+	graph, err := workload.ResolveGraph(*workloadName, *topologyPath)
 	if err != nil {
 		return err
 	}
@@ -230,21 +223,6 @@ func run(args []string) error {
 	fmt.Printf("\nsummary: %d auctioned rounds, social cost %.2f, payments %.2f, %d winning bids, %d infeasible, %d SLA misses\n",
 		sum.Rounds, sum.SocialCost, sum.TotalPayment, sum.WinningBids, sum.InfeasibleRounds, totalSLA)
 	return nil
-}
-
-// resolveGraph loads the service topology selected by -workload (a
-// builtin name) or -topology (a YAML file); nil means flat mode.
-func resolveGraph(builtin, path string) (*workload.ServiceGraph, error) {
-	switch {
-	case builtin != "" && path != "":
-		return nil, fmt.Errorf("-workload and -topology are mutually exclusive")
-	case builtin != "":
-		return workload.BuiltinGraph(builtin)
-	case path != "":
-		return workload.LoadServiceGraph(path)
-	default:
-		return nil, nil
-	}
 }
 
 // parseWorkDist maps the CLI flag to a WorkDist.

@@ -68,7 +68,8 @@ func run(args []string) error {
 	breakerThreshold := fs.Int("breaker-threshold", 0, "admission: consecutive qualifying drops that open an agent's circuit (0 = no breaker)")
 	breakerCooldown := fs.Duration("breaker-cooldown", 0, "admission: how long an open circuit refuses re-registration (0 = default)")
 	queueBound := fs.Int("queue-bound", 0, "admission: max submissions per agent per round before queue_full sheds (0 = unbounded)")
-	mechanism := fs.String("mechanism", "", "mechanism spec, e.g. 'posted-price:epsilon=0.1' or 'double-auction:overbook=1.25' (empty = ssam)")
+	var mechanism core.MechanismSpec
+	fs.Var(&mechanism, "mechanism", "mechanism spec, e.g. 'posted-price:epsilon=0.1' or 'double-auction:overbook=1.25' (empty = ssam)")
 	workloadName := fs.String("workload", "", "builtin service topology: announce demand derived from simulated load instead of i.i.d. draws (requires -rounds > 0)")
 	topologyPath := fs.String("topology", "", "YAML service topology file: like -workload but loaded from a file (requires -rounds > 0)")
 	workScale := fs.Float64("work-scale", 1, "multiply every service's work by this factor in -workload/-topology mode")
@@ -78,7 +79,7 @@ func run(args []string) error {
 	if *needyHi < *needyLo || *demandHi < *demandLo {
 		return fmt.Errorf("invalid demand ranges")
 	}
-	graph, err := resolveGraph(*workloadName, *topologyPath)
+	graph, err := workload.ResolveGraph(*workloadName, *topologyPath)
 	if err != nil {
 		return err
 	}
@@ -98,13 +99,7 @@ func run(args []string) error {
 		Logger:      logger,
 	}
 	scfg.Auction.Options.Parallelism = *parallelism
-	if *mechanism != "" {
-		spec, err := core.ParseMechanismSpec(*mechanism)
-		if err != nil {
-			return err
-		}
-		scfg.Auction.Mechanism = spec
-	}
+	scfg.Auction.Mechanism = mechanism
 	scfg.Admission = platform.AdmissionConfig{
 		BidRate:          *bidRate,
 		BidBurst:         *bidBurst,
@@ -342,21 +337,6 @@ func run(args []string) error {
 			printSummary(srv)
 			return nil
 		}
-	}
-}
-
-// resolveGraph loads the service topology selected by -workload (a
-// builtin name) or -topology (a YAML file); nil means i.i.d. demand.
-func resolveGraph(builtin, path string) (*workload.ServiceGraph, error) {
-	switch {
-	case builtin != "" && path != "":
-		return nil, fmt.Errorf("-workload and -topology are mutually exclusive")
-	case builtin != "":
-		return workload.BuiltinGraph(builtin)
-	case path != "":
-		return workload.LoadServiceGraph(path)
-	default:
-		return nil, nil
 	}
 }
 

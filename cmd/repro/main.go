@@ -158,7 +158,8 @@ func run(args []string) error {
 	benchJSON := fs.String("bench-json", "", "file to write per-figure wall-clock timings as JSON")
 	traceOut := fs.String("trace-out", "", "append a JSONL sweep event per completed experiment grid to this file")
 	gomaxprocs := fs.Int("gomaxprocs", 0, "cap GOMAXPROCS for this run (0 = leave unchanged; recorded in -bench-json for multicore sweeps)")
-	mechanism := fs.String("mechanism", "", "mechanism spec for the online figures, e.g. 'posted-price:epsilon=0.1' (empty = ssam; see internal/core.ParseMechanismSpec)")
+	var mechanism core.MechanismSpec
+	fs.Var(&mechanism, "mechanism", "mechanism spec for the online figures, e.g. 'posted-price:epsilon=0.1' (empty = ssam; see internal/core.ParseMechanismSpec)")
 	topologyPath := fs.String("topology", "", "YAML service topology replacing the builtin graph of the workload figures (overload, spikes, frontier)")
 	var arenaSpecs specListFlag
 	fs.Var(&arenaSpecs, "arena-spec", "mechanism spec to race in the arena (repeatable; default: ssam, posted-price, double-auction)")
@@ -170,23 +171,14 @@ func run(args []string) error {
 		runtime.GOMAXPROCS(*gomaxprocs)
 	}
 
+	graph, err := workload.ResolveGraph("", *topologyPath)
+	if err != nil {
+		return err
+	}
 	cfg := experiments.Config{
 		Seed: *seed, Trials: *trials, Quick: *quick,
 		Parallelism: *parallelism, TrialParallelism: *trialParallelism,
-	}
-	if *mechanism != "" {
-		spec, err := core.ParseMechanismSpec(*mechanism)
-		if err != nil {
-			return err
-		}
-		cfg.Mechanism = spec
-	}
-	if *topologyPath != "" {
-		g, err := workload.LoadServiceGraph(*topologyPath)
-		if err != nil {
-			return err
-		}
-		cfg.Graph = g
+		Mechanism: mechanism, Graph: graph,
 	}
 	if *traceOut != "" {
 		f, err := os.OpenFile(*traceOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)

@@ -123,7 +123,8 @@ type (
 	// PsiEntry is one bidder's dual state inside an MSOAState.
 	PsiEntry = core.PsiEntry
 	// IngestBuffer accumulates a round's bids shard-by-shard in the flat
-	// layout the SSAM kernel consumes (see MSOA.RunRoundIngest).
+	// layout the SSAM kernel consumes; Build assembles the canonical
+	// Instance that MSOA.RunRound clears.
 	IngestBuffer = core.IngestBuffer
 )
 

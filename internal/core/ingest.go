@@ -156,11 +156,3 @@ func (ib *IngestBuffer) Build() *Instance {
 	ib.inst = Instance{Demand: ib.demand, Bids: ib.bids}
 	return &ib.inst
 }
-
-// RunRoundIngest is the batch-ingest entry point: it assembles the
-// buffered bids into the canonical instance and clears round t through
-// the online mechanism, equivalent to RunRound over a hand-built
-// Instance with the same bids in any order.
-func (m *MSOA) RunRoundIngest(t int, ib *IngestBuffer) *RoundResult {
-	return m.RunRound(Round{T: t, Instance: ib.Build()})
-}

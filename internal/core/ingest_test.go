@@ -8,8 +8,8 @@ import (
 
 // TestIngestBufferMatchesHandBuiltInstance proves the batch-ingest path
 // is order- and shard-insensitive: bids added in any order through any
-// shard count assemble into the same canonical instance, and
-// RunRoundIngest clears identically to RunRound over that instance.
+// shard count assemble into the same canonical instance, and the built
+// instance clears identically to the hand-built one.
 func TestIngestBufferMatchesHandBuiltInstance(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	demand := []int{3, 2, 4, 1}
@@ -92,13 +92,12 @@ func TestIngestBufferReusesStorage(t *testing.T) {
 	}
 }
 
-// TestIngestBufferRunRoundIngest exercises the MSOA entry point against
-// the plain path across several rounds (ψ state must advance equally).
-func TestIngestBufferRunRoundIngest(t *testing.T) {
-	cfgA := MSOAConfig{Capacity: map[int]int{1: 3, 2: 3}}
-	cfgB := MSOAConfig{Capacity: map[int]int{1: 3, 2: 3}}
-	plain := NewMSOA(cfgA)
-	batch := NewMSOA(cfgB)
+// TestIngestBufferAcrossRounds clears reverse-arrival ingest rounds
+// through MSOA against the plain hand-built path across several rounds
+// (ψ state must advance equally).
+func TestIngestBufferAcrossRounds(t *testing.T) {
+	cfg := MSOAConfig{Capacity: map[int]int{1: 3, 2: 3}}
+	plain, batch := NewMSOA(cfg), NewMSOA(cfg)
 	ib := NewIngestBuffer(2)
 	for round := 1; round <= 4; round++ {
 		demand := []int{round % 3, 1 + round%2}
@@ -111,7 +110,7 @@ func TestIngestBufferRunRoundIngest(t *testing.T) {
 		}
 		sortBidsCanonical(ins.Bids)
 		a := plain.RunRound(Round{T: round, Instance: ins})
-		b := batch.RunRoundIngest(round, ib)
+		b := batch.RunRound(Round{T: round, Instance: ib.Build()})
 		if (a.Err == nil) != (b.Err == nil) {
 			t.Fatalf("round %d: err %v vs %v", round, a.Err, b.Err)
 		}

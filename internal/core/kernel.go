@@ -55,13 +55,12 @@ import (
 // silently truncating.
 
 // betterScore is THE greedy ordering, shared by every selection path (the
-// lazy-rescore heap behind selection and budgeted selection, and the
-// candidate scans behind the counterfactual suffix replays): (s1, b1) beats
-// (s2, b2) when its score is strictly lower, or on an exact score tie when
-// its bid index is lower. Centralizing the comparison keeps the tie-break
-// bit-identical across all paths — the reference's ascending scan realizes
-// the same order implicitly, and the differential fuzz gate holds every
-// path to it.
+// lazy-rescore heaps behind selection, budgeted selection and the
+// counterfactual payment replays): (s1, b1) beats (s2, b2) when its score
+// is strictly lower, or on an exact score tie when its bid index is lower.
+// Centralizing the comparison keeps the tie-break bit-identical across all
+// paths — the reference's ascending scan realizes the same order
+// implicitly, and the differential fuzz gate holds every path to it.
 func betterScore(s1 float64, b1 int32, s2 float64, b2 int32) bool {
 	return s1 < s2 || (s1 == s2 && b1 < b2)
 }
@@ -385,25 +384,12 @@ func (kn *kernel) marginalOf(b int32, theta []int32) int {
 	return gain
 }
 
-// applyTo commits bid b to (theta, deficit). theta stays capped at demand,
-// so the per-edge gain formula matches marginalOf exactly.
-func (kn *kernel) applyTo(theta []int32, deficit *int, b int32) {
-	for e := kn.coverStart[b]; e < kn.coverStart[b+1]; e++ {
-		k := kn.coverKey[e]
-		r := kn.demand[k] - theta[k]
-		g := kn.coverCap[e]
-		if g > r {
-			g = r
-		}
-		theta[k] += g
-		*deficit -= int(g)
-	}
-}
-
-// applyGains is applyTo on the main-run state, additionally materializing
-// the per-cover gains (aligned with Bid.Covers) into the pooled kn.gains
-// scratch for the certificate builder — the only consumer. SkipCertificate
-// runs never call it and allocate nothing per iteration.
+// applyGains commits bid b to the main-run state (theta, deficit) and
+// materializes the per-cover gains (aligned with Bid.Covers) into the
+// pooled kn.gains scratch for the certificate builder — the only consumer.
+// theta stays capped at demand, so the per-edge gain formula matches
+// marginalOf exactly. SkipCertificate runs never call it and allocate
+// nothing per iteration.
 func (kn *kernel) applyGains(b int32) []int {
 	n := int(kn.coverStart[b+1] - kn.coverStart[b])
 	if cap(kn.gains) < n {
@@ -422,34 +408,6 @@ func (kn *kernel) applyGains(b int32) []int {
 		kn.gains[i] = int(g)
 	}
 	return kn.gains
-}
-
-// selectBestIn returns the candidate bid minimizing the greedy metric at
-// theta via a full O(candidates) scan, removing dead candidates (marginal
-// 0 — permanent, since θ only grows) from cs as it scans. It returns
-// best = -1 when no live candidate remains. The swap-delete list is
-// scanned in permuted order, so the lowest-bid-index tie-break is applied
-// explicitly; this reproduces the reference's ascending-scan tie-break
-// exactly. No production path uses it anymore — every selection loop runs
-// on the lazy-rescore heap — but it stays as the scan baseline that
-// BenchmarkPriorityStructures (lazyheap_test.go) and the structure-choice
-// writeup in DESIGN.md §11 measure the heap against.
-func (kn *kernel) selectBestIn(cs *candSet, theta []int32) (best int32, bestScore float64, bestMarginal int) {
-	best, bestScore = -1, math.Inf(1)
-	for i := 0; i < len(cs.list); {
-		b := cs.list[i]
-		m := kn.marginalOf(b, theta)
-		if m <= 0 {
-			cs.removeAt(i)
-			continue
-		}
-		score := kn.scoreOf(b, m)
-		if betterScore(score, b, bestScore, best) {
-			best, bestScore, bestMarginal = b, score, m
-		}
-		i++
-	}
-	return best, bestScore, bestMarginal
 }
 
 // removeGroupIn removes every bid of bidder group g from cs.

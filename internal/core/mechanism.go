@@ -80,9 +80,9 @@ const (
 )
 
 // MechanismSpec selects a mechanism by name plus its parameters. The
-// zero value means SSAM; MSOA treats it as "no dispatch" and runs the
-// historical ssamScaled path byte-for-byte. The struct is JSON-friendly
-// so it can ride in chaos scenarios and server configs.
+// zero value means SSAM: NewMechanism resolves it to the NameSSAM
+// registrant like any named spec. The struct is JSON-friendly so it can
+// ride in chaos scenarios and server configs.
 type MechanismSpec struct {
 	// Name is the registry name; empty selects SSAM.
 	Name string `json:"name,omitempty"`
@@ -140,6 +140,17 @@ func (s MechanismSpec) String() string {
 		return name
 	}
 	return name + ":" + strings.Join(params, ",")
+}
+
+// Set parses v with ParseMechanismSpec into s, making *MechanismSpec a
+// flag.Value: the binaries register their -mechanism flags with fs.Var.
+func (s *MechanismSpec) Set(v string) error {
+	spec, err := ParseMechanismSpec(v)
+	if err != nil {
+		return err
+	}
+	*s = spec
+	return nil
 }
 
 // ParseMechanismSpec parses the "-mechanism" flag syntax shared by

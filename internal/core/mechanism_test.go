@@ -103,6 +103,10 @@ func TestParseMechanismSpec(t *testing.T) {
 			t.Errorf("parse %q: %v", tc.in, err)
 			continue
 		}
+		var set MechanismSpec // the flag.Value path must parse identically
+		if err := set.Set(tc.in); err != nil || set.String() != got.String() {
+			t.Errorf("Set(%q) = %v, %v; want %v", tc.in, set, err, got)
+		}
 		if got.Name != tc.want.Name || got.Budget != tc.want.Budget {
 			t.Errorf("parse %q = %+v, want %+v", tc.in, got, tc.want)
 		}
@@ -126,6 +130,9 @@ func TestParseMechanismSpec(t *testing.T) {
 	} {
 		if _, err := ParseMechanismSpec(bad); err == nil {
 			t.Errorf("parse %q: want error, got none", bad)
+		}
+		if err := new(MechanismSpec).Set(bad); err == nil {
+			t.Errorf("Set(%q): want error, got none", bad)
 		}
 	}
 }
@@ -172,31 +179,6 @@ func TestRunMechanismZeroSpecMatchesSSAM(t *testing.T) {
 		}
 		if !want.Equal(got) {
 			t.Fatalf("trial %d: RunMechanism(zero) diverged from SSAM", trial)
-		}
-	}
-}
-
-// TestMSOAExplicitSSAMSpecBitIdentical: naming "ssam" explicitly must run
-// the exact historical code path (MSOA keeps mech == nil for SSAM specs).
-func TestMSOAExplicitSSAMSpecBitIdentical(t *testing.T) {
-	runAll := func(cfg MSOAConfig) []*RoundResult {
-		m := NewMSOA(cfg)
-		for r := 1; r <= 4; r++ {
-			m.RunRound(simpleRound(r, 2, 10, 14, 20, 30))
-		}
-		return m.Results()
-	}
-	base := runAll(MSOAConfig{DefaultCapacity: 3})
-	named := runAll(MSOAConfig{DefaultCapacity: 3, Mechanism: MechanismSpec{Name: NameSSAM}})
-	if len(base) != len(named) {
-		t.Fatalf("round counts differ: %d vs %d", len(base), len(named))
-	}
-	for i := range base {
-		if (base[i].Err == nil) != (named[i].Err == nil) {
-			t.Fatalf("round %d: error mismatch", i+1)
-		}
-		if base[i].Err == nil && !base[i].Outcome.Equal(named[i].Outcome) {
-			t.Fatalf("round %d: outcomes diverged under explicit ssam spec", i+1)
 		}
 	}
 }

@@ -72,10 +72,10 @@ type MSOAConfig struct {
 	// does not hold with it set.
 	DisableScaledPrice bool
 	// Mechanism selects the single-stage mechanism each round clears
-	// through. The zero value (and NameSSAM) runs the paper's SSAM on the
-	// historical call path, byte-identical to configs predating this
-	// field. Non-scaled mechanisms clear on raw prices and never update ψ
-	// (χ capacity accounting still applies to their winners).
+	// through, resolved once by NewMSOA through the registry. The zero
+	// value selects the paper's SSAM. Non-scaled mechanisms clear on raw
+	// prices and never update ψ (χ capacity accounting still applies to
+	// their winners).
 	Mechanism MechanismSpec
 	// Options configures each embedded single-stage auction.
 	Options Options
@@ -130,9 +130,8 @@ type RoundResult struct {
 // process a whole trace with Run.
 type MSOA struct {
 	cfg MSOAConfig
-	// mech is the resolved non-default mechanism, nil when the config
-	// selects SSAM (the nil fast path is the pre-Mechanism call chain,
-	// kept byte-identical for the soak and bench gates).
+	// mech is the mechanism cfg.Mechanism resolved to; nil only when
+	// resolution failed (mechErr is then set).
 	mech Mechanism
 	// mechErr records a spec that failed to resolve; every round then
 	// fails with it instead of silently falling back to SSAM.
@@ -147,25 +146,22 @@ type MSOA struct {
 	base OnlineSummary
 }
 
-// NewMSOA returns an online auction with zeroed dual state. A
-// non-default cfg.Mechanism is resolved here, once, so Stateful
-// mechanisms (futures books) live exactly as long as the MSOA's ψ/χ
-// state; an unresolvable spec is reported by every RunRound rather than
-// falling back to SSAM.
+// NewMSOA returns an online auction with zeroed dual state. cfg.Mechanism
+// is resolved here, once, so Stateful mechanisms (futures books) live
+// exactly as long as the MSOA's ψ/χ state; an unresolvable spec is
+// reported by every RunRound rather than falling back to SSAM.
 func NewMSOA(cfg MSOAConfig) *MSOA {
 	m := &MSOA{
 		cfg: cfg,
 		psi: make(map[int]float64),
 		chi: make(map[int]int),
 	}
-	if !cfg.Mechanism.IsSSAM() {
-		m.mech, m.mechErr = NewMechanism(cfg.Mechanism)
-	}
+	m.mech, m.mechErr = NewMechanism(cfg.Mechanism)
 	return m
 }
 
-// Mechanism returns the resolved non-default mechanism, or nil when the
-// online auction runs SSAM. The chaos auditor uses it to reach
+// Mechanism returns the mechanism every round clears through, or nil when
+// cfg.Mechanism failed to resolve. The chaos auditor uses it to reach
 // per-mechanism state (e.g. the double auction's settlement reports).
 func (m *MSOA) Mechanism() Mechanism { return m.mech }
 
@@ -179,8 +175,9 @@ func (m *MSOA) UsedCapacity(bidder int) int { return m.chi[bidder] }
 func (m *MSOA) Results() []*RoundResult { return m.results }
 
 // RunRound executes one stage: derive scaled prices, filter the candidate
-// set by windows and remaining capacity, run SSAM on the scaled prices, pay
-// winners, and update ψ and χ for the winning bidders.
+// set by windows and remaining capacity, clear the mechanism (on the
+// scaled prices for the SSAM family), pay winners, and update ψ and χ for
+// the winning bidders.
 func (m *MSOA) RunRound(r Round) *RoundResult {
 	ins := r.Instance
 	res := &RoundResult{T: r.T, Scaled: make([]float64, len(ins.Bids))}
@@ -232,18 +229,14 @@ func (m *MSOA) RunRound(r Round) *RoundResult {
 		})
 	}
 
-	// Dispatch the single-stage clear. The nil-mechanism branch is the
-	// historical SSAM call and must stay byte-identical — the soak gates
-	// compare its WAL bytes and state hashes across binaries.
+	// Clear the round: the SSAM family on scaled prices, everything else
+	// on raw prices.
 	var out *Outcome
 	var err error
 	sm, scaledOK := m.mech.(ScaledMechanism)
-	switch {
-	case m.mech == nil:
-		out, err = ssamScaled(filtered, scaledFiltered, m.cfg.Options)
-	case scaledOK:
+	if scaledOK {
 		out, err = sm.ClearScaled(filtered, scaledFiltered, m.cfg.Options)
-	default:
+	} else {
 		out, err = m.mech.Clear(filtered, m.cfg.Options)
 	}
 	if err != nil {
@@ -288,11 +281,10 @@ func (m *MSOA) RunRound(r Round) *RoundResult {
 	// The ψ update belongs to the SSAM family's Lemma-4 argument, so it
 	// only runs for scaled mechanisms; χ capacity accounting applies to
 	// every mechanism's winners.
-	updatePsi := m.mech == nil || scaledOK
 	for _, orig := range remapped.Winners {
 		b := &ins.Bids[orig]
 		theta, limited := m.cfg.capacityOf(b.Bidder)
-		if updatePsi && limited && theta > 0 {
+		if scaledOK && limited && theta > 0 {
 			s := float64(len(b.Covers))
 			th := float64(theta)
 			m.psi[b.Bidder] = m.psi[b.Bidder]*(1+s/(alpha*th)) + b.Price*s/(alpha*th*th)

@@ -1,5 +1,7 @@
 package core
 
+import "sort"
+
 // This file implements a (1−ε)-optimal posted-price mechanism in the
 // spirit of Zhang et al. (arXiv 1611.07619): the platform posts a single
 // take-it-or-leave-it price π drawn from an (1+ε)-geometric grid over the
@@ -107,9 +109,14 @@ func (p *PostedPrice) PostedLevel(ins *Instance) float64 {
 			perBidder[b.Bidder] = useful
 		}
 	}
+	bidders := make([]int, 0, len(perBidder))
+	for id := range perBidder {
+		bidders = append(bidders, id)
+	}
+	sort.Ints(bidders)
 	var supply float64
-	for _, s := range perBidder {
-		supply += s
+	for _, id := range bidders {
+		supply += perBidder[id]
 	}
 	// Walk the geometric grid lo, lo(1+ε), … and post the first level
 	// whose expected accepting supply under the uniform prior

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 )
 
 // This file implements executable checks for the economic properties the
@@ -131,9 +132,14 @@ func BuyerCharges(ins *Instance, out *Outcome, margin float64) map[int]float64 {
 // sellers' payments.
 func VerifyNoEconomicLoss(out *Outcome, charges map[int]float64) error {
 	const eps = 1e-6
+	keys := make([]int, 0, len(charges))
+	for k := range charges {
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
 	var charged float64
-	for _, c := range charges {
-		charged += c
+	for _, k := range keys {
+		charged += charges[k]
 	}
 	if paid := out.TotalPayment(); charged < paid-eps {
 		return fmt.Errorf("core: buyers charged %.6f < sellers paid %.6f (economic loss)", charged, paid)

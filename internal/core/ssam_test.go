@@ -340,8 +340,8 @@ func TestReserveSetExplicitZero(t *testing.T) {
 
 // TestSelectBestExactTieLowestIndex locks the tie-break: with three bids at
 // EXACTLY equal price-per-coverage score, the lowest bid index must win —
-// on the optimized kernel (whose swap-delete candidate list is scanned in
-// permuted order and needs an explicit tie-break) and on the reference
+// on the optimized kernel (whose heap and swap-delete candidate list hold
+// bids in permuted order and need an explicit tie-break) and on the reference
 // (whose ascending strict-improvement scan IS the tie-break).
 func TestSelectBestExactTieLowestIndex(t *testing.T) {
 	ins := &Instance{

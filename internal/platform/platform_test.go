@@ -2,6 +2,7 @@ package platform
 
 import (
 	"encoding/json"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -390,24 +391,39 @@ func TestPlatformMalformedClientRejected(t *testing.T) {
 	}
 }
 
+// TestPlatformHelloWithBadIDRejected: a hello with a non-positive id, an
+// oversized count or an overflowing id range is refused with an error
+// envelope before anything registers, and a normal multiplexed hello
+// still registers afterwards.
 func TestPlatformHelloWithBadIDRejected(t *testing.T) {
 	srv := startServer(t, ServerConfig{})
-	raw, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = raw.Close() }()
-	enc := json.NewEncoder(raw)
-	dec := json.NewDecoder(raw)
-	if err := enc.Encode(Envelope{Type: TypeHello, Hello: &HelloMsg{AgentID: -3}}); err != nil {
-		t.Fatal(err)
-	}
-	var resp Envelope
-	if err := dec.Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Type != TypeError {
-		t.Fatalf("want error envelope, got %+v", resp)
+	for _, tc := range []struct {
+		hello  HelloMsg
+		reply  string
+		agents int
+	}{
+		{HelloMsg{AgentID: -3}, TypeError, 0},
+		{HelloMsg{AgentID: 1, Count: 1_000_000_000}, TypeError, 0},
+		{HelloMsg{AgentID: 1, Count: maxSessionAgents + 1}, TypeError, 0},
+		{HelloMsg{AgentID: math.MaxInt - 2, Count: 4}, TypeError, 0},
+		{HelloMsg{AgentID: 1, Count: 3}, TypeWelcome, 3},
+	} {
+		raw, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = raw.Close() }()
+		var resp Envelope
+		if err := json.NewEncoder(raw).Encode(Envelope{Type: TypeHello, Hello: &tc.hello}); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.NewDecoder(raw).Decode(&resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Type != tc.reply || srv.AgentCount() != tc.agents {
+			t.Fatalf("hello %+v: reply %q with %d agents registered, want %q with %d",
+				tc.hello, resp.Type, srv.AgentCount(), tc.reply, tc.agents)
+		}
 	}
 }
 

@@ -92,9 +92,15 @@ type HelloMsg struct {
 	// AgentID..AgentID+Count-1 share this one connection (all with the
 	// same capacity and window). Load generators use this to hold 100k
 	// agents in a few hundred sockets; bids are then submitted per agent
-	// through BidSubmitMsg.Multi.
+	// through BidSubmitMsg.Multi. The server refuses a Count above
+	// maxSessionAgents, or one whose id range overflows, with TypeError.
 	Count int `json:"count,omitempty"`
 }
+
+// maxSessionAgents bounds HelloMsg.Count, and so how long one hello holds
+// the registry lock. It sits well above the largest sessions load
+// generators open (10k agents on one connection).
+const maxSessionAgents = 1 << 16
 
 // WelcomeMsg acknowledges a registration.
 type WelcomeMsg struct {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net"
 	"sort"
 	"sync"
@@ -204,6 +205,9 @@ type roundState struct {
 	doneClosed  bool
 	done        chan struct{}
 	announcedAt time.Time
+	// traced counts accepted bids whose BidReceived is still being emitted;
+	// closing the window waits for it, so the trace leads the settle.
+	traced sync.WaitGroup
 
 	ins *core.Instance
 }
@@ -357,6 +361,12 @@ func (s *Server) handle(ctx context.Context, c *conn) {
 	count := hello.Count
 	if count < 1 {
 		count = 1
+	}
+	// Bound the id range before taking s.mu: registration loops count
+	// times under the lock, and the range must not wrap past MaxInt.
+	if count > maxSessionAgents || hello.AgentID > math.MaxInt-(count-1) {
+		_ = c.send(&Envelope{Type: TypeError, Error: fmt.Sprintf("hello ids %d+%d: want at most %d per session, without overflow", hello.AgentID, count, maxSessionAgents)}, s.cfg.writeTimeout())
+		return
 	}
 
 	// Circuit breaker: a flapping agent (repeated timeout/RST drops) is
@@ -518,6 +528,9 @@ func (s *Server) ingestBid(sess *session, id, tag int, bids []WireBid, now time.
 		g.doneClosed = true
 	}
 	rtt := now.Sub(g.announcedAt)
+	if s.tracer != nil {
+		g.traced.Add(1)
+	}
 	s.gmu.Unlock()
 
 	s.mBids.Add(int64(len(bids)))
@@ -527,6 +540,7 @@ func (s *Server) ingestBid(sess *session, id, tag int, bids []WireBid, now time.
 	}
 	if s.tracer != nil {
 		s.tracer.Emit(obs.BidReceived{T: t, ID: id, Bids: len(bids), RTTMicros: rtt.Microseconds()})
+		g.traced.Done()
 	}
 }
 
@@ -828,6 +842,7 @@ func (s *Server) awaitGather(ctx context.Context, rs *roundState) error {
 	rs.open = false
 	s.gather = nil
 	s.gmu.Unlock()
+	rs.traced.Wait()
 
 	// The ingest buffer re-emits every bid in canonical (Bidder, Alt)
 	// order, so the instance — and everything downstream — is independent
@@ -881,6 +896,7 @@ func (s *Server) abortGather(rs *roundState) {
 		s.gather = nil
 	}
 	s.gmu.Unlock()
+	rs.traced.Wait()
 	s.putRoundState(rs)
 }
 

@@ -301,6 +301,22 @@ func LoadServiceGraph(path string) (*ServiceGraph, error) {
 	return g, nil
 }
 
+// ResolveGraph loads the topology a command line selects with its
+// -workload (builtin name) and -topology (YAML file) flags. Setting both
+// is an error; setting neither returns nil.
+func ResolveGraph(builtin, path string) (*ServiceGraph, error) {
+	switch {
+	case builtin != "" && path != "":
+		return nil, fmt.Errorf("-workload and -topology are mutually exclusive")
+	case builtin != "":
+		return BuiltinGraph(builtin)
+	case path != "":
+		return LoadServiceGraph(path)
+	default:
+		return nil, nil
+	}
+}
+
 func parseServices(v any) ([]ServiceSpec, error) {
 	seq, err := yamlSeq(v, "services")
 	if err != nil {

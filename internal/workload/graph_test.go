@@ -129,6 +129,21 @@ func TestBuiltinGraphsValid(t *testing.T) {
 	}
 }
 
+func TestResolveGraph(t *testing.T) {
+	if g, err := ResolveGraph("", ""); g != nil || err != nil {
+		t.Fatalf("neither set: got %v, %v; want nil, nil", g, err)
+	}
+	if g, err := ResolveGraph("overload", ""); err != nil || g.Name != "overload" {
+		t.Fatalf("builtin: got %v, %v", g, err)
+	}
+	if _, err := ResolveGraph("", "no-such-file.yaml"); !errors.Is(err, ErrBadTopology) {
+		t.Fatalf("file: got %v, want ErrBadTopology", err)
+	}
+	if _, err := ResolveGraph("overload", "t.yaml"); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
+		t.Fatalf("both set: got %v, want mutually-exclusive error", err)
+	}
+}
+
 func TestServiceGraphClone(t *testing.T) {
 	g, err := BuiltinGraph("overload")
 	if err != nil {

@@ -15,8 +15,11 @@
 // The audit log is deterministic: two runs of the same scenario and seed
 // are byte-identical, which is what `make soak-quick` asserts with cmp.
 // Crash scenarios (soak-crash) and pipeline scenarios (soak-pipeline)
-// extend the same idea to the durable record: the recovered —
-// respectively, overlapped — run must match its baseline byte-for-byte.
+// extend the same idea to the durable record: one comparison harness
+// clears the scenario through an uninterrupted serial baseline and
+// through the recovered — respectively, overlapped — variant, writing
+// baseline.wal and crashed.wal or pipelined.wal into -crash-dir, and the
+// variant must match the baseline byte-for-byte.
 // Exit status: 0 on a clean run, 1 on operational errors, 2 when the
 // auditor found invariant violations or a comparison run diverged.
 package main
@@ -54,7 +57,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		quiet         = fs.Bool("quiet", false, "suppress progress logging")
 		crashDir      = fs.String("crash-dir", "", "working dir for platform-crash and pipeline comparison runs (default: a temp dir)")
 		snapshotEvery = fs.Int("snapshot-every", 10, "checkpoint the crashed pass every N rounds (platform-crash runs; 0 disables)")
-		fsync         = fs.Bool("fsync", false, "fsync the WAL on every append (platform-crash runs)")
+		fsync         = fs.Bool("fsync", false, "fsync the WAL on every append (platform-crash and pipeline comparison runs)")
 		mechanism     core.MechanismSpec
 	)
 	fs.Var(&mechanism, "mechanism", "override the scenario mechanism spec, e.g. 'posted-price' or 'double-auction:overbook=1.25'")
@@ -98,11 +101,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	if len(sc.PlatformCrashes) > 0 {
-		return runCrash(sc, *crashDir, *snapshotEvery, *fsync, *quiet, stdout, stderr)
-	}
-	if sc.Pipelined {
-		return runPipeline(sc, *crashDir, *fsync, *quiet, stdout, stderr)
+	if len(sc.PlatformCrashes) > 0 || sc.Pipelined {
+		return runCompare(sc, *crashDir, *snapshotEvery, *fsync, *quiet, stdout, stderr)
 	}
 
 	cfg := chaos.Config{
@@ -162,13 +162,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// runCrash executes a platform kill/restart scenario: the platform is
-// killed at each scripted crash point, recovered from snapshot +
-// WAL-suffix replay, and the run is compared byte-for-byte against an
-// uninterrupted pass. Exit 2 on any divergence.
-func runCrash(sc *chaos.Scenario, dir string, snapshotEvery int, fsync, quiet bool, stdout, stderr io.Writer) int {
+// runCompare runs a comparison scenario: an uninterrupted serial
+// baseline and the variant the scenario selects — the platform killed at
+// each scripted crash point and recovered from snapshot + WAL-suffix
+// replay, or the pipelined round engine — compared byte-for-byte. Exit 2
+// on any divergence.
+func runCompare(sc *chaos.Scenario, dir string, snapshotEvery int, fsync, quiet bool, stdout, stderr io.Writer) int {
 	if dir == "" {
-		tmp, err := os.MkdirTemp("", "chaos-crash-")
+		tmp, err := os.MkdirTemp("", "chaos-compare-")
 		if err != nil {
 			fmt.Fprintf(stderr, "chaos: %v\n", err)
 			return 1
@@ -176,60 +177,25 @@ func runCrash(sc *chaos.Scenario, dir string, snapshotEvery int, fsync, quiet bo
 		defer os.RemoveAll(tmp)
 		dir = tmp
 	}
-	cfg := chaos.CrashConfig{Scenario: sc, Dir: dir, SnapshotEvery: snapshotEvery, Fsync: fsync}
+	cfg := chaos.CompareConfig{Scenario: sc, Dir: dir, SnapshotEvery: snapshotEvery, Fsync: fsync}
 	if !quiet {
 		cfg.Logger = log.New(stderr, "", 0)
 	}
-	res, err := chaos.RunCrash(cfg)
+	res, err := chaos.RunCompare(cfg)
 	if err != nil {
 		fmt.Fprintf(stderr, "chaos: %v\n", err)
 		return 1
 	}
-	fmt.Fprintf(stdout, "scenario %s seed %d: %d rounds, %d platform crashes, %d recoveries (%d records replayed, %d snapshots)\n",
-		res.Scenario, res.Seed, res.Rounds, res.Crashes, res.Recoveries, res.Replayed, res.Snapshots)
-	fmt.Fprintf(stdout, "state: baseline %s, recovered %s, WAL match %v\n",
-		short(res.BaselineHash), short(res.RecoveredHash), res.WALMatch)
+	fmt.Fprintf(stdout, "scenario %s seed %d: %d rounds, baseline vs %s: %d platform crashes, %d recoveries (%d records replayed, %d snapshots)\n",
+		res.Scenario, res.Seed, res.Rounds, res.Variant, res.Crashes, res.Recoveries, res.Replayed, res.Snapshots)
+	fmt.Fprintf(stdout, "state: baseline %s, %s %s, WAL match %v\n",
+		short(res.BaselineHash), res.Variant, short(res.VariantHash), res.WALMatch)
 	if !res.Match {
-		fmt.Fprintf(stdout, "DIVERGENCE: recovered run does not match the uninterrupted baseline\n")
+		fmt.Fprintf(stdout, "DIVERGENCE: %s run does not match the uninterrupted serial baseline\n", res.Variant)
 		fmt.Fprintf(stdout, "repro: go run ./cmd/chaos -scenario %s -seed %d -crash-dir <dir>\n", res.Scenario, res.Seed)
 		return 2
 	}
-	fmt.Fprintf(stdout, "recovered run is byte-identical to the uninterrupted baseline\n")
-	return 0
-}
-
-// runPipeline executes a serial-vs-pipelined comparison scenario: the
-// same workload cleared through the serial round loop and through the
-// overlapped round engine, compared byte-for-byte. Exit 2 on divergence.
-func runPipeline(sc *chaos.Scenario, dir string, fsync, quiet bool, stdout, stderr io.Writer) int {
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "chaos-pipeline-")
-		if err != nil {
-			fmt.Fprintf(stderr, "chaos: %v\n", err)
-			return 1
-		}
-		defer os.RemoveAll(tmp)
-		dir = tmp
-	}
-	cfg := chaos.PipelineConfig{Scenario: sc, Dir: dir, Fsync: fsync}
-	if !quiet {
-		cfg.Logger = log.New(stderr, "", 0)
-	}
-	res, err := chaos.RunPipelineCompare(cfg)
-	if err != nil {
-		fmt.Fprintf(stderr, "chaos: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(stdout, "scenario %s seed %d: %d rounds, serial vs pipelined\n",
-		res.Scenario, res.Seed, res.Rounds)
-	fmt.Fprintf(stdout, "state: serial %s, pipelined %s, WAL match %v\n",
-		short(res.SerialHash), short(res.PipelinedHash), res.WALMatch)
-	if !res.Match {
-		fmt.Fprintf(stdout, "DIVERGENCE: pipelined run does not match the serial baseline\n")
-		fmt.Fprintf(stdout, "repro: go run ./cmd/chaos -scenario %s -seed %d -crash-dir <dir>\n", res.Scenario, res.Seed)
-		return 2
-	}
-	fmt.Fprintf(stdout, "pipelined run is byte-identical to the serial baseline\n")
+	fmt.Fprintf(stdout, "%s run is byte-identical to the uninterrupted serial baseline\n", res.Variant)
 	return 0
 }
 

@@ -103,3 +103,32 @@ func TestBadInvocations(t *testing.T) {
 		}
 	}
 }
+
+// TestCompareScenariosExitZero drives both comparison variants through
+// the CLI's single compare path: each exits 0 and leaves the baseline WAL
+// next to its variant's WAL in -crash-dir.
+func TestCompareScenariosExitZero(t *testing.T) {
+	for _, tc := range []struct{ variant, field string }{
+		{"crashed", `"platform_crashes": [{"round": 3, "point": "pre-announce"}]`},
+		{"pipelined", `"pipelined": true`},
+	} {
+		scenario := strings.TrimSuffix(tinyScenario, "}") + ", " + tc.field + "}"
+		path := filepath.Join(t.TempDir(), tc.variant+".json")
+		if err := os.WriteFile(path, []byte(scenario), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		var out, errOut bytes.Buffer
+		if code := run([]string{"-scenario", path, "-quiet", "-crash-dir", dir}, &out, &errOut); code != 0 {
+			t.Fatalf("%s: exit %d: %s%s", tc.variant, code, out.String(), errOut.String())
+		}
+		if !strings.Contains(out.String(), tc.variant+" run is byte-identical") {
+			t.Errorf("%s: verdict line missing: %s", tc.variant, out.String())
+		}
+		for _, name := range []string{"baseline.wal", tc.variant + ".wal"} {
+			if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+				t.Errorf("%s: %v", tc.variant, err)
+			}
+		}
+	}
+}

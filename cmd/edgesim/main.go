@@ -37,11 +37,6 @@ import (
 	"edgeauction/internal/workload"
 )
 
-// transferUnitRate is the work-rate (work units per second) each traded
-// capacity unit is worth when auction outcomes feed back into the
-// simulator — the same rate the experiments workload sweeps use.
-const transferUnitRate = 10
-
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "edgesim:", err)
@@ -182,20 +177,7 @@ func run(args []string) error {
 			fmt.Printf(" — infeasible: %v\n", res.Err)
 			continue
 		}
-		reserveUnits := 0
-		delta := make(map[int]float64)
-		for _, w := range res.Outcome.Winners {
-			bid := ar.Round.Instance.Bids[w]
-			grant := float64(bid.Units) * transferUnitRate / float64(len(bid.Covers))
-			for _, k := range bid.Covers {
-				delta[ar.NeedyIDs[k]] += grant
-			}
-			if bid.Bidder >= sim.ReserveBidderID {
-				reserveUnits += bid.Units
-			} else {
-				delta[bid.Bidder] -= float64(bid.Units) * transferUnitRate
-			}
-		}
+		delta, reserveUnits := ar.Transfers(res.Outcome.Winners)
 		if graph != nil {
 			// Close the loop: winners' grants (and sellers' drains) adjust
 			// the next round's fair-share allocations.

@@ -235,9 +235,11 @@ func run(args []string) error {
 	// the demand the dead process would have announced at N.
 	var wlSched [][]int
 	if graph != nil {
-		wlSched, err = workloadSchedule(graph, *workScale, nextRound-1+*rounds, *seed)
+		// The same derivation the chaos overload scenario uses, capped at
+		// 6 units per needy service.
+		wlSched, err = sim.DemandSchedule(graph, *workScale, 6, nextRound-1+*rounds, *seed)
 		if err != nil {
-			return err
+			return fmt.Errorf("workload demand: %w", err)
 		}
 		fmt.Printf("workload demand: %q service graph, %d rounds precomputed\n", graph.Name, len(wlSched))
 	}
@@ -338,41 +340,6 @@ func run(args []string) error {
 			return nil
 		}
 	}
-}
-
-// workloadSchedule precomputes per-round demand from a simulated service
-// graph bridged through the §III estimator — the same derivation the
-// chaos overload scenario uses. Idle simulator rounds become minimal
-// demand because the platform round machinery expects at least one needy
-// microservice.
-func workloadSchedule(g *workload.ServiceGraph, scale float64, rounds int, seed int64) ([][]int, error) {
-	if scale < 0 {
-		return nil, fmt.Errorf("negative -work-scale %v", scale)
-	}
-	if scale != 0 && scale != 1 {
-		for i := range g.Services {
-			g.Services[i].Work *= scale
-		}
-	}
-	rng := workload.NewDerived(seed, "workload", 0, 0)
-	simulator, err := sim.New(sim.Config{Graph: g, Rounds: rounds, Seed: rng.Int63()})
-	if err != nil {
-		return nil, fmt.Errorf("workload simulator: %w", err)
-	}
-	bridge, err := sim.NewBridge(simulator, sim.BridgeConfig{Seed: rng.Int63(), MaxUnits: 6, NeedyQueue: 2})
-	if err != nil {
-		return nil, fmt.Errorf("workload bridge: %w", err)
-	}
-	sched := make([][]int, rounds)
-	for t := 0; t < rounds; t++ {
-		ar := bridge.Convert(simulator.RunRound())
-		d := append([]int(nil), ar.Round.Instance.Demand...)
-		if len(d) == 0 {
-			d = []int{1}
-		}
-		sched[t] = d
-	}
-	return sched, nil
 }
 
 // debugMux builds the observability endpoint: the server's live metrics

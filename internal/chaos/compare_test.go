@@ -35,14 +35,17 @@ func TestCrashPointMatrix(t *testing.T) {
 		t.Run(point, func(t *testing.T) {
 			t.Parallel()
 			sc := crashTestScenario("matrix-"+point).CrashPlatformAt(7, point)
-			res, err := RunCrash(CrashConfig{Scenario: sc, Dir: t.TempDir()})
+			res, err := RunCompare(CompareConfig{Scenario: sc, Dir: t.TempDir()})
 			if err != nil {
-				t.Fatalf("RunCrash: %v", err)
+				t.Fatalf("RunCompare: %v", err)
+			}
+			if res.Variant != "crashed" {
+				t.Errorf("variant %q, want crashed", res.Variant)
 			}
 			if res.Crashes != 1 || res.Recoveries != 1 {
 				t.Errorf("crashes=%d recoveries=%d, want 1/1", res.Crashes, res.Recoveries)
 			}
-			assertCrashMatch(t, res)
+			assertMatch(t, res)
 		})
 	}
 }
@@ -53,11 +56,11 @@ func TestCrashPointMatrix(t *testing.T) {
 func TestCrashFinalRound(t *testing.T) {
 	t.Parallel()
 	sc := crashTestScenario("final").CrashPlatformAt(14, platform.CrashPostAnnounce)
-	res, err := RunCrash(CrashConfig{Scenario: sc, Dir: t.TempDir()})
+	res, err := RunCompare(CompareConfig{Scenario: sc, Dir: t.TempDir()})
 	if err != nil {
-		t.Fatalf("RunCrash: %v", err)
+		t.Fatalf("RunCompare: %v", err)
 	}
-	assertCrashMatch(t, res)
+	assertMatch(t, res)
 }
 
 // TestCrashWithSnapshots checkpoints every 4 rounds, so the second
@@ -68,9 +71,9 @@ func TestCrashWithSnapshots(t *testing.T) {
 	sc := crashTestScenario("snap").
 		CrashPlatformAt(6, platform.CrashPreAnnounce).
 		CrashPlatformAt(11, platform.CrashMidGather)
-	res, err := RunCrash(CrashConfig{Scenario: sc, Dir: t.TempDir(), SnapshotEvery: 4})
+	res, err := RunCompare(CompareConfig{Scenario: sc, Dir: t.TempDir(), SnapshotEvery: 4})
 	if err != nil {
-		t.Fatalf("RunCrash: %v", err)
+		t.Fatalf("RunCompare: %v", err)
 	}
 	if res.Snapshots == 0 {
 		t.Fatalf("pass wrote no snapshots")
@@ -80,22 +83,22 @@ func TestCrashWithSnapshots(t *testing.T) {
 	if res.Replayed >= 10+5 {
 		t.Errorf("replayed %d records; snapshots should have cut the suffix", res.Replayed)
 	}
-	assertCrashMatch(t, res)
+	assertMatch(t, res)
 }
 
-func assertCrashMatch(t *testing.T, res *CrashResult) {
+func assertMatch(t *testing.T, res *CompareResult) {
 	t.Helper()
 	if !res.WALMatch {
-		t.Errorf("WALs differ between baseline and crashed pass")
+		t.Errorf("WALs differ between baseline and %s pass", res.Variant)
 	}
-	if res.BaselineHash != res.RecoveredHash {
-		t.Errorf("state hash diverged: baseline %s, recovered %s", res.BaselineHash, res.RecoveredHash)
+	if res.BaselineHash != res.VariantHash {
+		t.Errorf("state hash diverged: baseline %s, %s %s", res.BaselineHash, res.Variant, res.VariantHash)
 	}
-	if res.BaselineSummary == nil || res.RecoveredSummary == nil {
-		t.Fatalf("missing summary: baseline %v, recovered %v", res.BaselineSummary, res.RecoveredSummary)
+	if res.BaselineSummary == nil || res.VariantSummary == nil {
+		t.Fatalf("missing summary: baseline %v, %s %v", res.BaselineSummary, res.Variant, res.VariantSummary)
 	}
-	if *res.BaselineSummary != *res.RecoveredSummary {
-		t.Errorf("summary diverged: baseline %+v, recovered %+v", *res.BaselineSummary, *res.RecoveredSummary)
+	if *res.BaselineSummary != *res.VariantSummary {
+		t.Errorf("summary diverged: baseline %+v, %s %+v", *res.BaselineSummary, res.Variant, *res.VariantSummary)
 	}
 	if !res.Match {
 		t.Errorf("overall Match=false: %+v", res)
@@ -110,8 +113,8 @@ func TestRecoverTornTail(t *testing.T) {
 	dir := t.TempDir()
 	sc := crashTestScenario("torn")
 	walPath := filepath.Join(dir, "run.wal")
-	if _, err := RunCrash(CrashConfig{Scenario: sc, Dir: dir}); err != nil {
-		t.Fatalf("RunCrash: %v", err)
+	if _, err := RunCompare(CompareConfig{Scenario: sc, Dir: dir}); err != nil {
+		t.Fatalf("RunCompare: %v", err)
 	}
 	// Use the baseline WAL as the donor log.
 	data, err := os.ReadFile(filepath.Join(dir, "baseline.wal"))
@@ -189,5 +192,95 @@ func TestCrashScenarioValidation(t *testing.T) {
 	}
 	if err := crashTestScenario("ok").CrashPlatformAt(3, platform.CrashPostAnnounce).Validate(); err != nil {
 		t.Errorf("valid crash scenario rejected: %v", err)
+	}
+}
+
+// TestPipelineCompareMatches runs a shortened pipeline scenario through
+// the comparison harness and requires a full match: identical WAL bytes,
+// state hash, and summary. This is the in-tree version of
+// `chaos -scenario pipeline` (the soak gate runs the full 120 rounds).
+func TestPipelineCompareMatches(t *testing.T) {
+	t.Parallel()
+	sc := pipelineScenario()
+	sc.Rounds = 40
+	dir := t.TempDir()
+	res, err := RunCompare(CompareConfig{Scenario: sc, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Variant != "pipelined" {
+		t.Errorf("variant %q, want pipelined", res.Variant)
+	}
+	if res.Crashes != 0 || res.Recoveries != 0 || res.Replayed != 0 || res.Snapshots != 0 {
+		t.Errorf("pipelined run has crash counters %+v, want zeros", res)
+	}
+	assertMatch(t, res)
+	if res.BaselineSummary == nil || res.BaselineSummary.Rounds != sc.Rounds {
+		t.Errorf("baseline summary %+v, want %d rounds", res.BaselineSummary, sc.Rounds)
+	}
+	for _, name := range []string{"baseline.wal", "pipelined.wal"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("comparison left no %s: %v", name, err)
+		}
+	}
+}
+
+// TestPipelineCompareRepeatable re-runs the comparison and requires the
+// final state hash to be stable across independent harness runs. This
+// is the regression test for the map-iteration-order bug in
+// Outcome.TotalPayment: summing payments in randomized map order
+// perturbed the summary's last ULP, so byte-compared runs of the very
+// same scenario disagreed with each other.
+func TestPipelineCompareRepeatable(t *testing.T) {
+	t.Parallel()
+	sc := pipelineScenario()
+	sc.Rounds = 30
+	var hash string
+	for i := 0; i < 3; i++ {
+		res, err := RunCompare(CompareConfig{Scenario: sc, Dir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Match {
+			t.Fatalf("run %d diverged: %+v", i, res)
+		}
+		if hash == "" {
+			hash = res.BaselineHash
+		} else if res.BaselineHash != hash {
+			t.Fatalf("run %d state hash %s, want %s (nondeterministic harness)", i, res.BaselineHash, hash)
+		}
+	}
+}
+
+// TestCompareVerdict is the negative control for the comparison gate: a
+// verdict that always said "match" would pass every test above, so each
+// compared artifact must be able to fail it on its own.
+func TestCompareVerdict(t *testing.T) {
+	t.Parallel()
+	clean := func() *passResult {
+		return &passResult{
+			wal:     []byte(`{"kind":"edgeauction-audit","t":1}` + "\n"),
+			hash:    "9f2c",
+			summary: &core.OnlineSummary{Rounds: 1, SocialCost: 12.5, TotalPayment: 14, WinningBids: 2},
+		}
+	}
+	cases := []struct {
+		name            string
+		mutate          func(p *passResult)
+		walMatch, match bool
+	}{
+		{"identical", func(*passResult) {}, true, true},
+		{"flipped WAL byte", func(p *passResult) { p.wal[len(p.wal)/2] ^= 1 }, false, false},
+		{"differing hash", func(p *passResult) { p.hash = "9f2d" }, true, false},
+		{"differing summary field", func(p *passResult) { p.summary.TotalPayment += 1e-9 }, true, false},
+		{"missing summary", func(p *passResult) { p.summary = nil }, true, false},
+	}
+	for _, tc := range cases {
+		variant := clean()
+		tc.mutate(variant)
+		walMatch, match := verdict(clean(), variant)
+		if walMatch != tc.walMatch || match != tc.match {
+			t.Errorf("%s: verdict (WAL %v, overall %v), want (%v, %v)", tc.name, walMatch, match, tc.walMatch, tc.match)
+		}
 	}
 }

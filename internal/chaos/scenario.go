@@ -136,7 +136,8 @@ type Scenario struct {
 	Rounds int    `json:"rounds"`
 	// BidDeadlineMS is the platform's per-round bid deadline in
 	// milliseconds (default 40; fault rounds pay it in full, so it bounds
-	// the soak's wall clock).
+	// the soak's wall clock). Comparison runs (RunCompare) ignore it:
+	// their agents always bid, so their rounds close on the last bid.
 	BidDeadlineMS int             `json:"bid_deadline_ms,omitempty"`
 	Agents        []AgentSpec     `json:"agents"`
 	Demand        DemandSpec      `json:"demand"`
@@ -145,17 +146,19 @@ type Scenario struct {
 	Federation    *FederationSpec `json:"federation,omitempty"`
 	// PlatformCrashes scripts kill/restart points for the PLATFORM
 	// process itself (not an agent). A scenario carrying any entry runs
-	// under the crash harness (RunCrash) instead of the churn engine: the
-	// platform is killed at each scripted point, recovered from snapshot +
-	// WAL-suffix replay, and the run's final state is compared
-	// byte-for-byte against an uninterrupted pass.
+	// under the comparison harness (RunCompare) instead of the churn
+	// engine, with the crashed variant: the platform is killed at each
+	// scripted point, recovered from snapshot + WAL-suffix replay, and the
+	// run's final state is compared byte-for-byte against an
+	// uninterrupted pass.
 	PlatformCrashes []CrashSpec `json:"platform_crashes,omitempty"`
-	// Pipelined routes the scenario to the pipeline harness
-	// (RunPipelineCompare) instead of the churn engine: the same fixed
-	// workload runs once through the serial round loop and once through
-	// the overlapped round engine (platform.RunPipelined), and the two
-	// passes' WAL bytes, final state hash and summary must agree — the
-	// overlap is an implementation detail the durable record cannot see.
+	// Pipelined, unless PlatformCrashes is set, routes the scenario to the
+	// comparison harness (RunCompare) with the pipelined variant instead
+	// of the churn engine: the same fixed workload runs once through the
+	// serial round loop and once through the overlapped round engine
+	// (platform.RunPipelined), and the two passes' WAL bytes, final state
+	// hash and summary must agree — the overlap is an implementation
+	// detail the durable record cannot see.
 	Pipelined bool `json:"pipelined,omitempty"`
 	// Mechanism selects the single-stage mechanism the platform (and the
 	// auditor's shadow replay) clears rounds through. Nil means SSAM and
@@ -244,8 +247,8 @@ func (s *Scenario) WithAgents(n, capacity int) *Scenario {
 // WithAgent appends one fully specified agent.
 func (s *Scenario) WithAgent(a AgentSpec) *Scenario { s.Agents = append(s.Agents, a); return s }
 
-// WithPipelined routes the scenario to the serial-vs-pipelined
-// comparison harness.
+// WithPipelined routes the scenario to the comparison harness's
+// pipelined variant (serial baseline vs platform.RunPipelined).
 func (s *Scenario) WithPipelined() *Scenario { s.Pipelined = true; return s }
 
 // WithDemand sets the demand process.
@@ -411,16 +414,11 @@ func (s *Scenario) Validate() error {
 	return nil
 }
 
-// buildWorkloadDemand precomputes the Workload demand schedule: it runs
-// the discrete-event simulator over the service graph for the scenario's
-// rounds and bridges each report's indicators into residual demand. All
-// randomness comes from one DeriveSeed sub-stream, so the schedule — and
-// thus every platform round — is a pure function of the scenario.
+// buildWorkloadDemand precomputes the Workload demand schedule through
+// sim.DemandSchedule, so the schedule — and thus every platform round —
+// is a pure function of the scenario.
 func (s *Scenario) buildWorkloadDemand() error {
 	w := s.Workload
-	if w.WorkScale < 0 {
-		return fmt.Errorf("chaos: scenario %q: negative workload work scale %v", s.Name, w.WorkScale)
-	}
 	if w.MaxDemand < 0 {
 		return fmt.Errorf("chaos: scenario %q: negative workload demand cap %d", s.Name, w.MaxDemand)
 	}
@@ -433,36 +431,13 @@ func (s *Scenario) buildWorkloadDemand() error {
 		}
 		g = loaded
 	}
-	if w.WorkScale != 0 {
-		for i := range g.Services {
-			g.Services[i].Work *= w.WorkScale
-		}
-	}
 	maxDemand := w.MaxDemand
 	if maxDemand == 0 {
 		maxDemand = 6
 	}
-	rng := workload.NewDerived(s.Seed, "workload", 0, 0)
-	simulator, err := sim.New(sim.Config{Graph: g, Rounds: s.Rounds, Seed: rng.Int63()})
+	s.wlDemand, err = sim.DemandSchedule(g, w.WorkScale, maxDemand, s.Rounds, s.Seed)
 	if err != nil {
-		return fmt.Errorf("chaos: scenario %q: workload simulator: %w", s.Name, err)
-	}
-	bridge, err := sim.NewBridge(simulator, sim.BridgeConfig{
-		Seed: rng.Int63(), MaxUnits: maxDemand, NeedyQueue: 2,
-	})
-	if err != nil {
-		return fmt.Errorf("chaos: scenario %q: workload bridge: %w", s.Name, err)
-	}
-	s.wlDemand = make([][]int, s.Rounds)
-	for t := 1; t <= s.Rounds; t++ {
-		ar := bridge.Convert(simulator.RunRound())
-		d := append([]int(nil), ar.Round.Instance.Demand...)
-		if len(d) == 0 {
-			// The platform round machinery expects at least one needy
-			// microservice; an idle simulator round becomes minimal demand.
-			d = []int{1}
-		}
-		s.wlDemand[t-1] = d
+		return fmt.Errorf("chaos: scenario %q: workload demand: %w", s.Name, err)
 	}
 	return nil
 }

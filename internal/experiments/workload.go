@@ -19,11 +19,6 @@ import (
 // on the demand path. All three drivers run head-to-head across
 // mechanisms through Config.Mechanism, like every other sweep.
 
-// transferUnitRate converts auctioned coverage units into simulator
-// work-rate: one unit is 10 work units per time unit, mirroring the
-// bridge's sizing of seller bids (one unit per 10 spare work-rate).
-const transferUnitRate = 10
-
 // workloadGraph resolves the topology a driver runs: Config.Graph when
 // set (the -topology flag), else the named builtin.
 func (c Config) workloadGraph(builtin string) (*workload.ServiceGraph, error) {
@@ -51,11 +46,7 @@ type workloadRun struct {
 }
 
 // runWorkloadLoop drives the closed loop for one scenario cell. Winners
-// adjust the next round's fair shares: each winning bid grants its
-// covered needy microservices Units x transferUnitRate work-rate (split
-// evenly across the cover) and drains the same amount from the selling
-// microservice; reserve bids inject platform capacity without draining
-// anyone.
+// adjust the next round's fair shares through AuctionRound.Transfers.
 func runWorkloadLoop(c Config, g *workload.ServiceGraph, topo *topology.Topology, rounds int, simSeed, bridgeSeed int64) (*workloadRun, error) {
 	simulator, err := sim.New(sim.Config{Graph: g, Topology: topo, Rounds: rounds, Seed: simSeed})
 	if err != nil {
@@ -101,20 +92,11 @@ func runWorkloadLoop(c Config, g *workload.ServiceGraph, topo *topology.Topology
 		run.auctioned++
 		run.cost += res.Outcome.SocialCost
 		run.payments += res.Outcome.TotalPayment()
-		delta := make(map[int]float64)
+		delta, reserveUnits := ar.Transfers(res.Outcome.Winners)
 		for _, w := range res.Outcome.Winners {
-			bid := ar.Round.Instance.Bids[w]
-			run.totalUnits += bid.Units
-			grant := float64(bid.Units) * transferUnitRate / float64(len(bid.Covers))
-			for _, k := range bid.Covers {
-				delta[ar.NeedyIDs[k]] += grant
-			}
-			if bid.Bidder >= sim.ReserveBidderID {
-				run.reserveUnits += bid.Units
-			} else {
-				delta[bid.Bidder] -= float64(bid.Units) * transferUnitRate
-			}
+			run.totalUnits += ar.Round.Instance.Bids[w].Units
 		}
+		run.reserveUnits += reserveUnits
 		simulator.ApplyTransfers(delta)
 	}
 	return run, nil

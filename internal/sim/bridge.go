@@ -24,24 +24,11 @@ type Bridge struct {
 
 // BridgeConfig parameterizes the conversion.
 type BridgeConfig struct {
-	// Estimator is the §III demand estimator; nil builds the AHP default.
-	Estimator *demand.Estimator
-	// NeedyUtilization is the utilization above which a microservice is
-	// considered needy; zero means 0.7.
-	NeedyUtilization float64
 	// NeedyQueue is the end-of-round backlog at or above which a
 	// microservice is considered needy regardless of utilization; zero
 	// means 1. Raising it keeps services whose only backlog is the
 	// in-flight tail request of the round from entering the demand side.
 	NeedyQueue int
-	// BidderUtilization is the utilization below which a microservice is
-	// willing to yield resources; zero means 0.5.
-	BidderUtilization float64
-	// BidsPerBidder is J; zero means 2.
-	BidsPerBidder int
-	// UnitsPerDemand scales the continuous demand estimate into integer
-	// coverage units; zero means 1.
-	UnitsPerDemand float64
 	// MaxUnits caps the per-needy coverage demand; zero means uncapped.
 	// The AHP rate factor has a 1/(1−utilization) pole, so a saturated
 	// microservice (graph mode pins utilization at exactly 1 while
@@ -50,70 +37,53 @@ type BridgeConfig struct {
 	// the paper's §V-A demand range (40) keeps instances in the studied
 	// regime while preserving the estimator's ordering of who is neediest.
 	MaxUnits int
-	// BasePrice anchors bid prices; zero means 10 (the paper's price
-	// range starts at 10). The final price grows with the bidder's
-	// utilization — busier bidders value their resources more.
-	BasePrice float64
-	// PriceSpread is the utilization-driven price range on top of
-	// BasePrice; zero means 25 (prices span [10, 35] as in §V-A).
-	PriceSpread float64
 	// Seed seeds bid randomization.
 	Seed int64
 	// NoPlatformReserve disables the platform's fallback supply. By
-	// default each auctioned round includes one reserve bid (bidder id
-	// ReserveBidderID) covering every needy microservice at ReservePrice
-	// per coverage unit — the "more expensive alternative" the platform
-	// falls back to when colocated offers cannot cover the demand.
+	// default each auctioned round includes a reserve ladder (bidder ids
+	// from ReserveBidderID upward) covering every needy microservice at
+	// reservePrice per coverage unit — the "more expensive alternative"
+	// the platform falls back to when colocated offers cannot cover the
+	// demand.
 	NoPlatformReserve bool
-	// ReservePrice is the platform fallback's per-unit price; zero means
-	// BasePrice+PriceSpread (the top of the market range).
-	ReservePrice float64
 }
+
+// The bridge's fixed conversion rules.
+const (
+	// needyUtilization is the utilization at or above which a
+	// microservice is needy.
+	needyUtilization = 0.7
+	// bidderUtilization is the utilization at or below which a
+	// microservice is willing to yield resources.
+	bidderUtilization = 0.5
+	// bidsPerBidder is J, the alternative bids per willing microservice.
+	bidsPerBidder = 2
+	// basePrice anchors bid prices (the paper's price range starts at
+	// 10); the final price grows with the bidder's utilization by up to
+	// priceSpread — busier bidders value their resources more — so prices
+	// span [10, 35] as in §V-A.
+	basePrice   = 10.0
+	priceSpread = 25.0
+	// reservePrice is the platform fallback's per-unit price: the top of
+	// the market range.
+	reservePrice = basePrice + priceSpread
+)
 
 // ReserveBidderID identifies the platform's fallback supplier in auction
 // rounds produced by the bridge. It is far above any microservice id.
 const ReserveBidderID = 1 << 30
 
-func (c BridgeConfig) withDefaults() BridgeConfig {
-	if c.NeedyUtilization == 0 {
-		c.NeedyUtilization = 0.7
-	}
-	if c.NeedyQueue == 0 {
-		c.NeedyQueue = 1
-	}
-	if c.BidderUtilization == 0 {
-		c.BidderUtilization = 0.5
-	}
-	if c.BidsPerBidder == 0 {
-		c.BidsPerBidder = 2
-	}
-	if c.UnitsPerDemand == 0 {
-		c.UnitsPerDemand = 1
-	}
-	if c.BasePrice == 0 {
-		c.BasePrice = 10
-	}
-	if c.PriceSpread == 0 {
-		c.PriceSpread = 25
-	}
-	if c.ReservePrice == 0 {
-		c.ReservePrice = c.BasePrice + c.PriceSpread
-	}
-	return c
-}
-
-// NewBridge builds a bridge for a simulator.
+// NewBridge builds a bridge for a simulator, estimating demand with the
+// AHP default §III estimator.
 func NewBridge(sim *Simulator, cfg BridgeConfig) (*Bridge, error) {
-	c := cfg.withDefaults()
-	est := c.Estimator
-	if est == nil {
-		var err error
-		est, err = demand.NewEstimator(demand.Config{})
-		if err != nil {
-			return nil, fmt.Errorf("sim: build default estimator: %w", err)
-		}
+	if cfg.NeedyQueue == 0 {
+		cfg.NeedyQueue = 1
 	}
-	return &Bridge{cfg: c, estimator: est, sim: sim, rng: workload.NewRand(c.Seed)}, nil
+	est, err := demand.NewEstimator(demand.Config{})
+	if err != nil {
+		return nil, fmt.Errorf("sim: build default estimator: %w", err)
+	}
+	return &Bridge{cfg: cfg, estimator: est, sim: sim, rng: workload.NewRand(cfg.Seed)}, nil
 }
 
 // AuctionRound is the bridge's output for one simulator round.
@@ -152,8 +122,8 @@ func (b *Bridge) Convert(rep *RoundReport) *AuctionRound {
 		in := rep.Indicators[id]
 		est := b.estimator.Estimate(in)
 		ar.Estimates[id] = est
-		if in.ExecutionRate >= b.cfg.NeedyUtilization || rep.QueueLengths[id] >= b.cfg.NeedyQueue {
-			units := b.estimator.EstimateUnits(in, b.cfg.UnitsPerDemand)
+		if in.ExecutionRate >= needyUtilization || rep.QueueLengths[id] >= b.cfg.NeedyQueue {
+			units := b.estimator.EstimateUnits(in, 1)
 			if units == 0 {
 				units = 1 // a backlogged service needs at least one unit
 			}
@@ -172,7 +142,7 @@ func (b *Bridge) Convert(rep *RoundReport) *AuctionRound {
 
 	for _, id := range ids {
 		in := rep.Indicators[id]
-		if _, isNeedy := needyIdx[id]; isNeedy || in.ExecutionRate > b.cfg.BidderUtilization {
+		if _, isNeedy := needyIdx[id]; isNeedy || in.ExecutionRate > bidderUtilization {
 			continue
 		}
 		// Resource sharing happens within the same edge cloud (§II).
@@ -180,7 +150,7 @@ func (b *Bridge) Convert(rep *RoundReport) *AuctionRound {
 		if len(local) == 0 {
 			continue
 		}
-		for alt := 0; alt < b.cfg.BidsPerBidder; alt++ {
+		for alt := 0; alt < bidsPerBidder; alt++ {
 			k := 1 + b.rng.Intn(len(local))
 			cover := make([]int, 0, k)
 			for _, pos := range b.rng.Subset(len(local), k) {
@@ -190,8 +160,8 @@ func (b *Bridge) Convert(rep *RoundReport) *AuctionRound {
 			// it minus what it uses; price reflects scarcity of the rest.
 			spare := (1 - in.ExecutionRate) * in.Allocated
 			units := int(spare/10) + 1
-			trueCost := b.cfg.BasePrice + b.cfg.PriceSpread*in.ExecutionRate +
-				b.rng.Uniform(0, b.cfg.PriceSpread/5)
+			trueCost := basePrice + priceSpread*in.ExecutionRate +
+				b.rng.Uniform(0, priceSpread/5)
 			ar.Round.Instance.Bids = append(ar.Round.Instance.Bids, core.Bid{
 				Bidder:   id,
 				Alt:      alt,
@@ -203,37 +173,9 @@ func (b *Bridge) Convert(rep *RoundReport) *AuctionRound {
 		}
 	}
 	if !b.cfg.NoPlatformReserve {
-		b.addReserve(ar)
+		workload.AddReserveLadder(ar.Round.Instance, ReserveBidderID, reservePrice)
 	}
 	return ar
-}
-
-// addReserve appends the platform's fallback pool: a binary ladder of
-// single-needy reserve bids (1, 2, 4, ... units at ReservePrice per unit,
-// distinct bidder ids from ReserveBidderID upward), guaranteeing the round
-// is coverable while keeping fallback purchases granular.
-func (b *Bridge) addReserve(ar *AuctionRound) {
-	ins := ar.Round.Instance
-	if ins.TotalDemand() == 0 {
-		return
-	}
-	bidder := ReserveBidderID
-	for k, d := range ins.Demand {
-		if d == 0 {
-			continue
-		}
-		for units := 1; units/2 < d; units *= 2 {
-			price := b.cfg.ReservePrice * float64(units)
-			ins.Bids = append(ins.Bids, core.Bid{
-				Bidder:   bidder,
-				Price:    price,
-				TrueCost: price,
-				Covers:   []int{k},
-				Units:    units,
-			})
-			bidder++
-		}
-	}
 }
 
 // ConvertAll converts a full simulation's reports.
@@ -243,4 +185,72 @@ func (b *Bridge) ConvertAll(reports []*RoundReport) []*AuctionRound {
 		out = append(out, b.Convert(rep))
 	}
 	return out
+}
+
+// TransferUnitRate is the work-rate one traded coverage unit is worth
+// when auction outcomes feed back into the simulator: 10 work units per
+// time unit, mirroring the bridge's sizing of seller bids (one unit per
+// 10 spare work-rate).
+const TransferUnitRate = 10
+
+// Transfers turns a cleared round's winners (indices into
+// ar.Round.Instance.Bids) into the fair-share adjustment for
+// Simulator.ApplyTransfers: each winning bid grants its covered needy
+// microservices Units x TransferUnitRate work-rate, split evenly across
+// the cover, and drains the same amount from the selling microservice.
+// Reserve bids inject platform capacity without draining anyone;
+// reserveUnits totals the units they sold.
+func (ar *AuctionRound) Transfers(winners []int) (delta map[int]float64, reserveUnits int) {
+	delta = make(map[int]float64)
+	for _, w := range winners {
+		bid := ar.Round.Instance.Bids[w]
+		grant := float64(bid.Units) * TransferUnitRate / float64(len(bid.Covers))
+		for _, k := range bid.Covers {
+			delta[ar.NeedyIDs[k]] += grant
+		}
+		if bid.Bidder >= ReserveBidderID {
+			reserveUnits += bid.Units
+		} else {
+			delta[bid.Bidder] -= float64(bid.Units) * TransferUnitRate
+		}
+	}
+	return delta, reserveUnits
+}
+
+// DemandSchedule precomputes rounds of residual demand from a simulated
+// service graph bridged through the §III estimator, as a pure function of
+// (g, scale, maxUnits, rounds, seed): every service's work is multiplied
+// by scale (0 means 1; g is scaled in place), the simulator and bridge
+// seed from the "workload" sub-stream of seed, each needy service's
+// demand is capped at maxUnits, and NeedyQueue 2 keeps tail-request
+// backlogs off the demand side. An idle round becomes []int{1}, because
+// the platform round machinery expects at least one needy microservice.
+// Index t-1 holds round t.
+func DemandSchedule(g *workload.ServiceGraph, scale float64, maxUnits, rounds int, seed int64) ([][]int, error) {
+	if scale < 0 {
+		return nil, fmt.Errorf("sim: negative work scale %v", scale)
+	}
+	if scale != 0 {
+		for i := range g.Services {
+			g.Services[i].Work *= scale
+		}
+	}
+	rng := workload.NewDerived(seed, "workload", 0, 0)
+	simulator, err := New(Config{Graph: g, Rounds: rounds, Seed: rng.Int63()})
+	if err != nil {
+		return nil, err
+	}
+	bridge, err := NewBridge(simulator, BridgeConfig{Seed: rng.Int63(), MaxUnits: maxUnits, NeedyQueue: 2})
+	if err != nil {
+		return nil, err
+	}
+	sched := make([][]int, rounds)
+	for t := range sched {
+		d := append([]int(nil), bridge.Convert(simulator.RunRound()).Round.Instance.Demand...)
+		if len(d) == 0 {
+			d = []int{1}
+		}
+		sched[t] = d
+	}
+	return sched, nil
 }

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"edgeauction/internal/demand"
+	"edgeauction/internal/workload"
 )
 
 // gateReport builds a minimal one-service round report for the demand
@@ -87,5 +89,56 @@ func TestBridgeMaxUnitsCap(t *testing.T) {
 	}
 	if got := capped.Convert(mild).Round.Instance.Demand[0]; got != want {
 		t.Fatalf("sub-cap demand = %d, want %d (unchanged)", got, want)
+	}
+}
+
+// TestDemandSchedule pins the shared workload demand schedule: it is a
+// pure function of its inputs, every entry stays under the cap, an idle
+// graph's empty rounds become [1], and a negative work scale is refused.
+func TestDemandSchedule(t *testing.T) {
+	schedule := func(topology string, scale float64) [][]int {
+		t.Helper()
+		g, err := workload.BuiltinGraph(topology)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched, err := DemandSchedule(g, scale, 4, 30, 23)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sched) != 30 {
+			t.Fatalf("%s: %d rounds scheduled, want 30", topology, len(sched))
+		}
+		return sched
+	}
+	hot := schedule("overload", 3)
+	if !reflect.DeepEqual(hot, schedule("overload", 3)) {
+		t.Fatal("same inputs produced different schedules")
+	}
+	busy := 0
+	for r, d := range hot {
+		for _, u := range d {
+			if u < 1 || u > 4 {
+				t.Fatalf("round %d demand %v outside [1, cap 4]", r+1, d)
+			}
+		}
+		if !reflect.DeepEqual(d, []int{1}) {
+			busy++
+		}
+	}
+	if busy == 0 {
+		t.Fatal("overloaded graph never produced demand beyond the idle fallback")
+	}
+	for r, d := range schedule("three-tier", 0.01) {
+		if !reflect.DeepEqual(d, []int{1}) {
+			t.Fatalf("idle graph round %d demand %v, want [1]", r+1, d)
+		}
+	}
+	g, err := workload.BuiltinGraph("overload")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DemandSchedule(g, -1, 4, 5, 23); err == nil {
+		t.Fatal("negative work scale accepted")
 	}
 }

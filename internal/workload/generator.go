@@ -170,33 +170,35 @@ func Instance(rng *Rand, cfg InstanceConfig) *core.Instance {
 	}
 	clampDemand(ins)
 	if !c.NoReserve {
-		addReserveBid(ins, c)
+		AddReserveLadder(ins, ReserveBidder(c.Bidders), c.PriceHi)
 	}
 	return ins
 }
 
-// addReserveBid appends the platform's fallback pool: for each needy
-// microservice, a binary ladder of single-needy bids (1, 2, 4, ... units)
-// priced at PriceHi per coverage unit, each from a distinct reserve bidder
-// so several rungs can win together. At PriceHi per unit the greedy (which
-// ranks by price per marginal coverage) never prefers a rung to a market
-// bid, and the ladder lets it procure any residual with at most 2x
-// overshoot instead of buying one whole-market block.
-func addReserveBid(ins *core.Instance, c InstanceConfig) {
+// AddReserveLadder appends the platform's fallback pool to ins: for each
+// needy microservice, a binary ladder of single-needy bids (1, 2, 4, ...
+// units, up to the first rung that covers the demand) priced at
+// unitPrice per coverage unit, each from a distinct bidder id counting up
+// from firstBidder so several rungs can win together. Priced at the top
+// of the market range, a rung never beats a market bid in the greedy
+// (which ranks by price per marginal coverage), and the ladder lets it
+// procure any residual with at most 2x overshoot instead of buying one
+// whole-market block.
+func AddReserveLadder(ins *core.Instance, firstBidder int, unitPrice float64) {
 	if ins.TotalDemand() == 0 {
 		return
 	}
-	bidder := ReserveBidder(c.Bidders)
+	bidder := firstBidder
 	for k, d := range ins.Demand {
 		if d == 0 {
 			continue
 		}
 		for units := 1; units/2 < d; units *= 2 {
+			price := unitPrice * float64(units)
 			ins.Bids = append(ins.Bids, core.Bid{
 				Bidder:   bidder,
-				Alt:      0,
-				Price:    c.PriceHi * float64(units),
-				TrueCost: c.PriceHi * float64(units),
+				Price:    price,
+				TrueCost: price,
 				Covers:   []int{k},
 				Units:    units,
 			})

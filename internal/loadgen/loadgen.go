@@ -7,9 +7,9 @@
 // still exercising the server's full decode/ingest path per agent.
 //
 // Fleet bidding is deterministic: every agent bids every round with a
-// price that is a pure function of (agent id, round), so a serial and a
-// pipelined server driven by identical fleets gather identical
-// instances.
+// bid that is a pure function of its id and the round's demand length,
+// so a serial and a pipelined server driven by identical fleets gather
+// identical instances.
 package loadgen
 
 import (
@@ -25,76 +25,34 @@ import (
 	"edgeauction/internal/platform"
 )
 
-// Config parameterizes a Fleet.
+// Config parameterizes a Fleet. Agent ids run from 1 to Agents; every
+// agent has unlimited capacity and submits one bid per round.
 type Config struct {
 	// Agents is the total number of agents (required, > 0).
 	Agents int
 	// AgentsPerConn is how many agents share one multiplexed session;
 	// 0 means DefaultAgentsPerConn.
 	AgentsPerConn int
-	// FirstID is the first agent id; 0 means 1.
-	FirstID int
-	// Capacity is each agent's lifetime sharing capacity (0 unlimited).
-	Capacity int
 	// ThinkTime is the simulated per-session decision latency between
 	// receiving an announce and submitting the batch of bids. It models
 	// the time real microservices spend computing bids, which is exactly
 	// the window a pipelined server hides its settle phase in.
 	ThinkTime time.Duration
-	// AltBids is the number of alternative bids per agent per round;
-	// 0 means 1.
-	AltBids int
-	// DynamicBids makes every agent's bid a function of the round number
-	// as well as its id, forcing a fresh JSON encode per session per
-	// round. The default (false) varies bids per agent but keeps them
-	// stable across rounds, so each session encodes its batch once and
-	// re-sends the bytes with only the round tag patched — the fleet then
-	// costs the benchmark core almost nothing, like a real remote fleet
-	// would.
-	DynamicBids bool
-	// DialTimeout bounds each session's connection attempt (0 = 5s).
-	DialTimeout time.Duration
-	// WriteTimeout bounds each session's sends (0 = 5s).
-	WriteTimeout time.Duration
 }
 
 // DefaultAgentsPerConn is the session multiplexing factor when
 // Config.AgentsPerConn is zero: 100k agents ≈ 500 sockets.
 const DefaultAgentsPerConn = 200
 
+// sessionTimeout bounds each session's connection attempt, its
+// registration reply, and each of its sends.
+const sessionTimeout = 5 * time.Second
+
 func (c Config) agentsPerConn() int {
 	if c.AgentsPerConn <= 0 {
 		return DefaultAgentsPerConn
 	}
 	return c.AgentsPerConn
-}
-
-func (c Config) firstID() int {
-	if c.FirstID <= 0 {
-		return 1
-	}
-	return c.FirstID
-}
-
-func (c Config) altBids() int {
-	if c.AltBids <= 0 {
-		return 1
-	}
-	return c.AltBids
-}
-
-func (c Config) dialTimeout() time.Duration {
-	if c.DialTimeout == 0 {
-		return 5 * time.Second
-	}
-	return c.DialTimeout
-}
-
-func (c Config) writeTimeout() time.Duration {
-	if c.WriteTimeout == 0 {
-		return 5 * time.Second
-	}
-	return c.WriteTimeout
 }
 
 // Fleet is a set of multiplexed load-generator sessions.
@@ -120,11 +78,8 @@ func Dial(addr string, cfg Config) (*Fleet, error) {
 	}
 	f := &Fleet{cfg: cfg}
 	per := cfg.agentsPerConn()
-	for first := cfg.firstID(); first < cfg.firstID()+cfg.Agents; first += per {
-		count := per
-		if rem := cfg.firstID() + cfg.Agents - first; rem < count {
-			count = rem
-		}
+	for first := 1; first <= cfg.Agents; first += per {
+		count := min(per, cfg.Agents-first+1)
 		fs, err := f.dialSession(addr, first, count)
 		if err != nil {
 			_ = f.Close()
@@ -180,13 +135,10 @@ type fleetSession struct {
 	first int
 	count int
 
-	// The reusable batch: one entry per agent, bids backed by one flat
-	// slice so steady-state rounds allocate (almost) nothing.
-	multi []platform.AgentBids
-	bids  []platform.WireBid
-
-	// Static-bid fast path: the session's batch pre-encoded once, split
-	// around the round tag so each round is a byte splice, not a marshal.
+	// The session's batch, pre-encoded once per demand length and split
+	// around the round tag so each round is a byte splice, not a marshal
+	// — the fleet then costs the benchmark core almost nothing, like a
+	// real remote fleet would.
 	staticHead []byte
 	staticTail []byte
 	staticD    int // demand length the static batch was built for
@@ -199,7 +151,7 @@ func (fs *fleetSession) send(env *platform.Envelope) error {
 		return fmt.Errorf("loadgen: marshal %s: %w", env.Type, err)
 	}
 	fs.enc = append(append(fs.enc[:0], data...), '\n')
-	if err := fs.raw.SetWriteDeadline(time.Now().Add(fs.f.cfg.writeTimeout())); err != nil {
+	if err := fs.raw.SetWriteDeadline(time.Now().Add(sessionTimeout)); err != nil {
 		return err
 	}
 	_, err = fs.raw.Write(fs.enc)
@@ -227,19 +179,19 @@ func (fs *fleetSession) recv(timeout time.Duration) (*platform.Envelope, error) 
 }
 
 func (f *Fleet) dialSession(addr string, first, count int) (*fleetSession, error) {
-	raw, err := net.DialTimeout("tcp", addr, f.cfg.dialTimeout())
+	raw, err := net.DialTimeout("tcp", addr, sessionTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: dial %s: %w", addr, err)
 	}
 	fs := &fleetSession{f: f, raw: raw, r: bufio.NewReader(raw), first: first, count: count}
 	hello := &platform.Envelope{Type: platform.TypeHello, Hello: &platform.HelloMsg{
-		AgentID: first, Capacity: f.cfg.Capacity, Count: count,
+		AgentID: first, Count: count,
 	}}
 	if err := fs.send(hello); err != nil {
 		_ = raw.Close()
 		return nil, err
 	}
-	env, err := fs.recv(f.cfg.dialTimeout())
+	env, err := fs.recv(sessionTimeout)
 	if err != nil {
 		_ = raw.Close()
 		return nil, fmt.Errorf("loadgen: session %d registration: %w", first, err)
@@ -298,55 +250,33 @@ func (fs *fleetSession) onAnnounce(msg *platform.AnnounceMsg) {
 	if fs.f.cfg.ThinkTime > 0 {
 		time.Sleep(fs.f.cfg.ThinkTime)
 	}
-	if !fs.f.cfg.DynamicBids {
-		if err := fs.sendStatic(msg); err != nil {
-			fs.f.errs.Add(1)
-			return
-		}
-		fs.f.bidsSent.Add(int64(fs.count))
-		return
-	}
-	fs.buildBatch(msg.T, len(msg.Demand))
-	env := &platform.Envelope{Type: platform.TypeBid, Bid: &platform.BidSubmitMsg{T: msg.T, Multi: fs.multi}}
-	if err := fs.send(env); err != nil {
+	if err := fs.sendStatic(msg); err != nil {
 		fs.f.errs.Add(1)
 		return
 	}
-	fs.f.bidsSent.Add(int64(len(fs.multi)))
+	fs.f.bidsSent.Add(int64(fs.count))
 }
 
-// buildBatch fills fs.multi with one deterministic bid set per agent:
-// price, covers and units are pure functions of (id, round, alt), so
-// identically-driven serial and pipelined servers gather identical
-// instances. Round variation is suppressed (t forced to 0) on the
-// static path.
-func (fs *fleetSession) buildBatch(t, d int) {
-	alts := fs.f.cfg.altBids()
-	need := fs.count * alts
-	if cap(fs.bids) < need {
-		fs.bids = make([]platform.WireBid, 0, need)
-		fs.multi = make([]platform.AgentBids, 0, fs.count)
-	}
-	fs.bids = fs.bids[:0]
-	fs.multi = fs.multi[:0]
-	for i := 0; i < fs.count; i++ {
+// staticBatch builds the session's round answer for a d-needy round: one
+// bid per agent whose price, covers and units are pure functions of the
+// agent id, so identically-driven serial and pipelined servers gather
+// identical instances.
+func (fs *fleetSession) staticBatch(d int) *platform.BidSubmitMsg {
+	msg := &platform.BidSubmitMsg{Multi: make([]platform.AgentBids, fs.count)}
+	for i := range msg.Multi {
 		id := fs.first + i
-		start := len(fs.bids)
-		for alt := 0; alt < alts; alt++ {
-			k := (id + alt) % d
-			covers := []int{k}
-			if d > 1 && (id+t)%3 == 0 {
-				covers = append(covers, (k+1)%d)
-			}
-			fs.bids = append(fs.bids, platform.WireBid{
-				Alt:    alt,
-				Price:  float64(5 + (id*7+t*13+alt*29)%60),
-				Covers: covers,
-				Units:  1 + (id+t)%3,
-			})
+		k := id % d
+		covers := []int{k}
+		if d > 1 && id%3 == 0 {
+			covers = append(covers, (k+1)%d)
 		}
-		fs.multi = append(fs.multi, platform.AgentBids{Agent: id, Bids: fs.bids[start:len(fs.bids):len(fs.bids)]})
+		msg.Multi[i] = platform.AgentBids{Agent: id, Bids: []platform.WireBid{{
+			Price:  float64(5 + (id*7)%60),
+			Covers: covers,
+			Units:  1 + id%3,
+		}}}
 	}
+	return msg
 }
 
 // sendStatic submits the pre-encoded batch with only the round tag
@@ -354,8 +284,7 @@ func (fs *fleetSession) buildBatch(t, d int) {
 func (fs *fleetSession) sendStatic(msg *platform.AnnounceMsg) error {
 	d := len(msg.Demand)
 	if fs.staticHead == nil || fs.staticD != d {
-		fs.buildBatch(0, d)
-		body, err := json.Marshal(&platform.BidSubmitMsg{T: 0, Multi: fs.multi})
+		body, err := json.Marshal(fs.staticBatch(d))
 		if err != nil {
 			return fmt.Errorf("loadgen: marshal static batch: %w", err)
 		}
@@ -370,7 +299,7 @@ func (fs *fleetSession) sendStatic(msg *platform.AnnounceMsg) error {
 	fs.enc = append(fs.enc[:0], fs.staticHead...)
 	fs.enc = strconv.AppendInt(fs.enc, int64(msg.T), 10)
 	fs.enc = append(fs.enc, fs.staticTail...)
-	if err := fs.raw.SetWriteDeadline(time.Now().Add(fs.f.cfg.writeTimeout())); err != nil {
+	if err := fs.raw.SetWriteDeadline(time.Now().Add(sessionTimeout)); err != nil {
 		return err
 	}
 	_, err := fs.raw.Write(fs.enc)

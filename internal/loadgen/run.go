@@ -26,24 +26,27 @@ type RunConfig struct {
 	ThinkTime time.Duration
 	// AgentsPerConn is the session multiplexing factor (0 = default).
 	AgentsPerConn int
-	// Demand is the per-round residual demand vector; nil means a fixed
-	// 4-service vector so runs are comparable.
-	Demand []int
-	// Warmup rounds run before measurement starts (default 1) so pools
-	// and per-session buffers reach steady state.
-	Warmup int
-	// Admission is the server's admission-control config (zero = off).
-	Admission platform.AdmissionConfig
-	// BidDeadline bounds each gather; 0 means 30s (fleets always answer,
-	// so rounds close at the last bid, far before the deadline).
-	BidDeadline time.Duration
-	// PipelineYield is the scheduling window RunPipelined grants the
+}
+
+// The benchmark's fixed server and workload settings.
+const (
+	// benchWarmup rounds run before measurement starts so pools and
+	// per-session buffers reach steady state.
+	benchWarmup = 1
+	// benchBidDeadline bounds each gather. Fleets always answer, so
+	// rounds close at the last bid, far before the deadline.
+	benchBidDeadline = 30 * time.Second
+	// benchPipelineYield is the scheduling window RunPipelined grants the
 	// ingest path after each announce (platform.ServerConfig.PipelineYield).
 	// The fleet shares the server's runtime here, so the yield is what
 	// lets agent read loops observe the announce before the solve occupies
-	// the processor; 0 means 1ms. Serial rounds ignore it.
-	PipelineYield time.Duration
-}
+	// the processor. Serial rounds ignore it.
+	benchPipelineYield = time.Millisecond
+)
+
+// benchDemand is every round's residual demand: a fixed 4-service vector
+// so runs are comparable.
+var benchDemand = []int{2, 1, 2, 1}
 
 // Result is one load-benchmark measurement.
 type Result struct {
@@ -80,7 +83,6 @@ type Result struct {
 // heap comparable, identical sockets).
 type harness struct {
 	cfg    RunConfig
-	demand []int
 	srv    *platform.Server
 	fleet  *Fleet
 	stages *stageMeans
@@ -124,32 +126,14 @@ func (m *stageMeans) take(stage string) float64 {
 	return mean
 }
 
-func (cfg RunConfig) normalized() RunConfig {
-	if cfg.Demand == nil {
-		cfg.Demand = []int{2, 1, 2, 1}
-	}
-	if cfg.Warmup <= 0 {
-		cfg.Warmup = 1
-	}
-	if cfg.BidDeadline == 0 {
-		cfg.BidDeadline = 30 * time.Second
-	}
-	if cfg.PipelineYield == 0 {
-		cfg.PipelineYield = time.Millisecond
-	}
-	return cfg
-}
-
 func newHarness(cfg RunConfig) (*harness, error) {
 	if cfg.Agents <= 0 || cfg.Rounds <= 0 {
 		return nil, fmt.Errorf("loadgen: need positive Agents and Rounds, got %d/%d", cfg.Agents, cfg.Rounds)
 	}
-	cfg = cfg.normalized()
 	stages := newStageMeans()
 	srv, err := platform.NewServer("127.0.0.1:0", platform.ServerConfig{
-		BidDeadline:   cfg.BidDeadline,
-		Admission:     cfg.Admission,
-		PipelineYield: cfg.PipelineYield,
+		BidDeadline:   benchBidDeadline,
+		PipelineYield: benchPipelineYield,
 		Tracer:        stages,
 	})
 	if err != nil {
@@ -173,7 +157,7 @@ func newHarness(cfg RunConfig) (*harness, error) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	return &harness{cfg: cfg, demand: cfg.Demand, srv: srv, fleet: fleet, stages: stages}, nil
+	return &harness{cfg: cfg, srv: srv, fleet: fleet, stages: stages}, nil
 }
 
 func (h *harness) close() {
@@ -185,7 +169,7 @@ func (h *harness) runRounds(pipelined bool, n int) (int64, error) {
 	var bids int64
 	if pipelined {
 		err := h.srv.RunPipelined(context.Background(), n,
-			func(int) ([]int, []int) { return h.demand, nil },
+			func(int) ([]int, []int) { return benchDemand, nil },
 			func(out *platform.RoundOutcome) error {
 				bids += int64(out.Bids)
 				return nil
@@ -193,7 +177,7 @@ func (h *harness) runRounds(pipelined bool, n int) (int64, error) {
 		return bids, err
 	}
 	for i := 0; i < n; i++ {
-		out, err := h.srv.RunRound(h.demand, nil)
+		out, err := h.srv.RunRound(benchDemand, nil)
 		if err != nil {
 			return bids, err
 		}
@@ -242,7 +226,7 @@ func Run(cfg RunConfig) (*Result, error) {
 		return nil, err
 	}
 	defer h.close()
-	if _, err := h.runRounds(cfg.Pipelined, h.cfg.Warmup); err != nil {
+	if _, err := h.runRounds(cfg.Pipelined, benchWarmup); err != nil {
 		return nil, fmt.Errorf("loadgen: warmup: %w", err)
 	}
 	return h.measure(cfg.Pipelined, cfg.Rounds)
@@ -278,10 +262,10 @@ func RunPaired(cfg RunConfig, passes int) (*PairedResult, error) {
 	}
 	defer h.close()
 	// Warm both code paths before measuring.
-	if _, err := h.runRounds(false, h.cfg.Warmup); err != nil {
+	if _, err := h.runRounds(false, benchWarmup); err != nil {
 		return nil, fmt.Errorf("loadgen: warmup: %w", err)
 	}
-	if _, err := h.runRounds(true, h.cfg.Warmup); err != nil {
+	if _, err := h.runRounds(true, benchWarmup); err != nil {
 		return nil, fmt.Errorf("loadgen: warmup: %w", err)
 	}
 	var serial, pipelined []*Result

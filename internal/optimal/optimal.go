@@ -44,9 +44,6 @@ type Result struct {
 type Options struct {
 	// MaxNodes caps branch-and-bound nodes; zero means 200000.
 	MaxNodes int
-	// Gap is the relative optimality gap at which search stops early;
-	// zero means prove optimality to 1e-9 absolute.
-	Gap float64
 	// TimeLimit caps wall-clock search time; zero means unlimited. On
 	// expiry the best incumbent and a valid lower bound are returned with
 	// Exact=false.
@@ -263,12 +260,8 @@ func (s *solver) branch(fixes []fixing, rel *nodeLP) {
 		s.openLB = append(s.openLB, rel.Objective)
 		return
 	}
-	gapOK := rel.Objective >= s.best-1e-9
-	if s.opts.Gap > 0 {
-		gapOK = rel.Objective >= s.best*(1-s.opts.Gap)
-	}
-	if gapOK {
-		return // prune by bound
+	if rel.Objective >= s.best-1e-9 {
+		return // prune by bound: optimality is proved to 1e-9 absolute
 	}
 	// Most-fractional branching variable.
 	frac, fracBid := 0.0, -1

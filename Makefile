@@ -72,6 +72,8 @@ fuzz:
 		./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzReadAudit$$' -fuzztime $(FUZZTIME) \
 		./internal/platform
+	$(GO) test -run '^$$' -fuzz '^FuzzRecvInto$$' -fuzztime $(FUZZTIME) \
+		./internal/platform
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime $(FUZZTIME) \
 		./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzReadInstance$$' -fuzztime $(FUZZTIME) \
@@ -91,21 +93,24 @@ soak-quick:
 		echo "auditor failed to catch the broken payment rule"; exit 1; \
 	else echo "broken payment rule caught as expected"; fi
 
-# soak-crash is the durability gate: the builtin crash scenario kills the
-# platform at every scripted crash point (mid-gather, pre-announce,
-# post-announce), recovers each time from snapshot + WAL-suffix replay,
-# and exits non-zero unless the recovered run is byte-identical to an
-# uninterrupted baseline (same WAL bytes, same ψ-state hash, same
-# OnlineSummary).
+# soak-crash is the durability gate: the builtin crash scenario runs
+# through the comparison harness (chaos.RunCompare), whose crashed pass
+# kills the platform at every scripted crash point (mid-gather,
+# pre-announce, post-announce) and recovers each time from snapshot +
+# WAL-suffix replay. It exits non-zero unless that pass is byte-identical
+# to the uninterrupted serial baseline (same WAL bytes, same ψ-state hash,
+# same OnlineSummary). Comparison rounds close on their last bid, not on
+# a deadline, so the verdict does not depend on scheduling.
 soak-crash:
 	$(GO) build -o /tmp/edgeauction-chaos ./cmd/chaos
 	/tmp/edgeauction-chaos -scenario crash -quiet
 
-# soak-pipeline is the overlap-determinism gate: the builtin pipeline
-# scenario clears the same 120-round workload once through the serial
-# RunRound loop and once through the pipelined round engine (settle t
-# overlapping gather t+1), and exits non-zero unless the two passes are
-# byte-identical (same WAL bytes, same ψ-state hash, same OnlineSummary).
+# soak-pipeline is the overlap-determinism gate: the same comparison
+# harness clears the builtin pipeline scenario's 120 rounds once through
+# the serial RunRound baseline and once through the pipelined round
+# engine (settle t overlapping gather t+1), and exits non-zero unless the
+# two passes are byte-identical (same WAL bytes, same ψ-state hash, same
+# OnlineSummary). As in soak-crash, rounds close on their last bid.
 soak-pipeline:
 	$(GO) build -o /tmp/edgeauction-chaos ./cmd/chaos
 	/tmp/edgeauction-chaos -scenario pipeline -quiet

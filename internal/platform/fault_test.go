@@ -2,10 +2,13 @@ package platform
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
+	"os"
 	"testing"
 	"time"
 
@@ -280,5 +283,100 @@ func TestRoundCancelledByContext(t *testing.T) {
 	}
 	if sum := srv.Summary(); sum == nil || sum.Rounds != 1 {
 		t.Fatalf("summary after follow-up = %+v, want 1 round", sum)
+	}
+}
+
+// overCapLine is a bid line one byte longer than maxFrameBytes: a valid
+// bid for round t padded with whitespace, newline included.
+func overCapLine(t int) []byte {
+	body := fmt.Sprintf(`{"type":"bid","bid":{"t":%d,"bids":[{"alt":1,"price":1,"covers":[0],"units":2}]}}`, t)
+	line := bytes.Repeat([]byte{' '}, maxFrameBytes+1)
+	copy(line, body)
+	line[len(line)-1] = '\n'
+	return line
+}
+
+// TestOverCapBidLineDropsOnlyItsSession sends a bid line one byte over
+// the frame cap mid-round: the server must drop that session alone,
+// count the drop in platform_agent_drops_total, and still clear the
+// round on the honest agent's bid from another session.
+func TestOverCapBidLineDropsOnlyItsSession(t *testing.T) {
+	srv, err := NewServer("127.0.0.1:0", ServerConfig{BidDeadline: 250 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = srv.Close() }()
+
+	good := dialRaw(t, srv.Addr(), 1, 0)
+	defer func() { _ = good.conn.Close() }()
+	bad := dialRaw(t, srv.Addr(), 2, 0)
+	defer func() { _ = bad.conn.Close() }()
+	waitCond(t, "both agents registered", func() bool { return srv.AgentCount() == 2 })
+
+	type roundRes struct {
+		out *RoundOutcome
+		err error
+	}
+	done := make(chan roundRes, 1)
+	go func() {
+		out, err := srv.RunRound([]int{2}, nil)
+		done <- roundRes{out, err}
+	}()
+	ann := good.recv()
+	if ann.Type != TypeAnnounce {
+		t.Fatalf("expected announce, got %q", ann.Type)
+	}
+	if env := bad.recv(); env.Type != TypeAnnounce {
+		t.Fatalf("expected announce, got %q", env.Type)
+	}
+	// The server may close the connection before the whole line is
+	// written, so the write's own error is expected either way.
+	go func() { _, _ = bad.conn.Write(overCapLine(ann.Announce.T)) }()
+	good.send(&Envelope{Type: TypeBid, Bid: &BidSubmitMsg{
+		T: ann.Announce.T, Bids: []WireBid{{Alt: 1, Price: 10, Covers: []int{0}, Units: 2}},
+	}})
+
+	res := <-done
+	if res.err != nil {
+		t.Fatalf("round failed: %v", res.err)
+	}
+	if res.out.Infeasible || len(res.out.Awards) != 1 || res.out.Awards[0].Bidder != 1 {
+		t.Fatalf("unexpected outcome: %+v", res.out)
+	}
+	waitCond(t, "over-cap session dropped", func() bool { return srv.AgentCount() == 1 })
+	if got := srv.Metrics().Counter("platform_agent_drops_total").Value(); got != 1 {
+		t.Errorf("platform_agent_drops_total = %d, want 1", got)
+	}
+}
+
+// TestOverCapHelloRegistersNobody sends a hello line over the frame cap:
+// the server must refuse it without registering any agent.
+func TestOverCapHelloRegistersNobody(t *testing.T) {
+	srv, err := NewServer("127.0.0.1:0", ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = srv.Close() }()
+
+	c, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	line := bytes.Repeat([]byte{' '}, maxFrameBytes+1)
+	copy(line, `{"type":"hello","hello":{"agent_id":5,"capacity":1}}`)
+	line[len(line)-1] = '\n'
+	go func() { _, _ = c.Write(line) }()
+	// The server closes the connection without a welcome.
+	if err := c.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if reply, err := bufio.NewReader(c).ReadBytes('\n'); err == nil {
+		t.Fatalf("over-cap hello got a reply: %s", reply)
+	} else if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("server kept the over-cap hello's connection open")
+	}
+	if n := srv.AgentCount(); n != 0 {
+		t.Fatalf("over-cap hello registered %d agents", n)
 	}
 }

@@ -208,15 +208,28 @@ func (c *conn) sendRaw(msgType string, data []byte, timeout time.Duration) error
 	return nil
 }
 
+// maxFrameBytes bounds one protocol line, newline included. The largest
+// lines are multiplexed bid batches: perfbench's fleet-10k workload
+// decodes 0.71 MB per round across all its sessions, and market-dense
+// 0.48 MB (platform.decode_mb_per_round in
+// perfbench/results/traced-*.txt), so even one session carrying a whole
+// fleet-10k round stays more than 20x under the cap.
+const maxFrameBytes = 16 << 20
+
 // readLine reads one newline-terminated line into buf (reused across
 // calls), growing it only past the high-water mark. Unlike ReadBytes it
 // does not allocate a fresh slice per line, which matters on the bid
 // ingest path where a multiplexed session's batch is tens of kilobytes
-// every round.
+// every round. A line longer than maxFrameBytes is refused with
+// ErrProtocol before it is buffered whole, so a peer cannot grow the
+// buffer without limit.
 func (c *conn) readLine(buf *[]byte) ([]byte, error) {
 	*buf = (*buf)[:0]
 	for {
 		frag, err := c.r.ReadSlice('\n')
+		if len(*buf)+len(frag) > maxFrameBytes {
+			return nil, fmt.Errorf("%w: line longer than %d bytes", ErrProtocol, maxFrameBytes)
+		}
 		*buf = append(*buf, frag...)
 		if err == nil {
 			return *buf, nil
@@ -269,36 +282,40 @@ func (env *Envelope) resetForReuse() {
 	*env = Envelope{}
 	if bid != nil {
 		bid.T = 0
-		bid.Bids = bid.Bids[:0]
-		bid.Multi = bid.Multi[:0]
+		bid.Bids = resetWireBids(bid.Bids)
+		multi := bid.Multi[:cap(bid.Multi)]
+		for i := range multi {
+			multi[i] = AgentBids{Bids: resetWireBids(multi[i].Bids)}
+		}
+		bid.Multi = multi[:0]
 		env.Bid = bid
 	}
 }
 
-// recv reads one envelope, bounded by timeout (0 means no deadline).
+// resetWireBids empties bids for reuse, keeping each element's Covers
+// storage. encoding/json decodes a slice element into the old memory
+// without zeroing it, and leaves a field the line omits (or an element
+// it sets to null) as it was, so every element up to capacity is cleared
+// first — otherwise a bid that omits "alt" would keep the previous
+// line's value.
+func resetWireBids(bids []WireBid) []WireBid {
+	all := bids[:cap(bids)]
+	for i := range all {
+		covers := all[i].Covers[:cap(all[i].Covers)]
+		clear(covers)
+		all[i] = WireBid{Covers: covers[:0]}
+	}
+	return bids[:0]
+}
+
+// recv reads one envelope into a fresh Envelope, bounded by timeout (0
+// means no deadline). Registration and the agent client use it; the
+// server's bid ingest loop calls recvInto directly to reuse its buffers.
 func (c *conn) recv(timeout time.Duration) (*Envelope, error) {
-	if timeout > 0 {
-		if err := c.raw.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-			return nil, fmt.Errorf("platform: set read deadline: %w", err)
-		}
-	} else {
-		if err := c.raw.SetReadDeadline(time.Time{}); err != nil {
-			return nil, fmt.Errorf("platform: clear read deadline: %w", err)
-		}
-	}
-	line, err := c.r.ReadBytes('\n')
-	if err != nil {
-		if errors.Is(err, io.EOF) && len(line) == 0 {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("platform: read line: %w", err)
-	}
 	var env Envelope
-	if err := json.Unmarshal(line, &env); err != nil {
-		return nil, fmt.Errorf("%w: bad JSON: %v", ErrProtocol, err)
-	}
-	if env.Type == "" {
-		return nil, fmt.Errorf("%w: missing message type", ErrProtocol)
+	var buf []byte
+	if err := c.recvInto(&env, &buf, timeout); err != nil {
+		return nil, err
 	}
 	return &env, nil
 }

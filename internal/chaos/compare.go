@@ -18,8 +18,8 @@ import (
 // Comparison passes run with a bid deadline no round comes near. Every
 // comparison agent always bids, so a round closes on its last bid and the
 // WAL bytes cannot depend on scheduling; the deadline is only a backstop.
-// (At 40 ms, an agent on a loaded race-mode run could miss it in one pass
-// only, and the passes then differed.)
+// A deadline a loaded host can miss would let one pass lose a bid the
+// other kept, and the passes would differ.
 const compareBidDeadline = 10 * time.Second
 
 // compareYield is the pipelined pass's overlap window

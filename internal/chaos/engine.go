@@ -474,8 +474,8 @@ func (e *engine) bidsFor(id, t, needy int) []platform.WireBid {
 }
 
 // scenarioDemand is round t's residual demand as a pure function of the
-// scenario — shared by the churn engine and the crash harness, whose
-// restarted platform must see exactly the demand the dead one announced.
+// scenario — shared by the churn engine and the comparison harness, whose
+// passes (and restarted platforms) must see exactly the same demand.
 func scenarioDemand(sc *Scenario, t int) []int {
 	if len(sc.wlDemand) >= t && t >= 1 {
 		// Workload-driven scenario: Validate precomputed the schedule from

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"testing"
 	"time"
 
@@ -86,72 +85,105 @@ func waitCond(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestRoundSurvivesAgentReset kills one of two agents with a TCP reset
-// while the round is gathering bids: the round must still clear on the
-// surviving agent's bid, and the drop must surface as an agent_drop
-// trace event with the read-error cause.
+// TestRoundSurvivesAgentReset breaks one of two agents' sessions while
+// the round is gathering bids — with a TCP reset, or with a bid line over
+// the frame cap — and the round must still clear on the surviving
+// agent's bid. The broken session alone is dropped: one agent_drop trace
+// event with the read-error cause, counted in platform_agent_drops_total.
 func TestRoundSurvivesAgentReset(t *testing.T) {
-	rec := &obs.Recorder{}
-	srv, err := NewServer("127.0.0.1:0", ServerConfig{
-		BidDeadline: 250 * time.Millisecond,
-		Tracer:      rec,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = srv.Close() }()
+	for _, tc := range []struct {
+		name         string
+		breakSession func(bad *rawPeer, round int)
+	}{
+		{"reset", func(bad *rawPeer, _ int) { bad.reset() }},
+		// The server may close the connection before the whole line is
+		// written, so the write's own error is expected either way.
+		{"over-cap-line", func(bad *rawPeer, round int) {
+			go func() { _, _ = bad.conn.Write(overCapLine(bidLine(round))) }()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := &obs.Recorder{}
+			srv, err := NewServer("127.0.0.1:0", ServerConfig{
+				BidDeadline: 250 * time.Millisecond,
+				Tracer:      rec,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = srv.Close() }()
 
-	good := dialRaw(t, srv.Addr(), 1, 0)
-	defer func() { _ = good.conn.Close() }()
-	bad := dialRaw(t, srv.Addr(), 2, 0)
-	waitCond(t, "both agents registered", func() bool { return srv.AgentCount() == 2 })
+			good := dialRaw(t, srv.Addr(), 1, 0)
+			defer func() { _ = good.conn.Close() }()
+			bad := dialRaw(t, srv.Addr(), 2, 0)
+			defer func() { _ = bad.conn.Close() }()
+			waitCond(t, "both agents registered", func() bool { return srv.AgentCount() == 2 })
 
-	type roundRes struct {
-		out *RoundOutcome
-		err error
-	}
-	done := make(chan roundRes, 1)
-	go func() {
-		out, err := srv.RunRound([]int{2}, nil)
-		done <- roundRes{out, err}
-	}()
+			type roundRes struct {
+				out *RoundOutcome
+				err error
+			}
+			done := make(chan roundRes, 1)
+			go func() {
+				out, err := srv.RunRound([]int{2}, nil)
+				done <- roundRes{out, err}
+			}()
 
-	// Both agents receive the announce (so the reset cannot race the
-	// server's own announce write); then the bad one resets instead of
-	// bidding.
-	ann := good.recv()
-	if ann.Type != TypeAnnounce {
-		t.Fatalf("expected announce, got %q", ann.Type)
-	}
-	if env := bad.recv(); env.Type != TypeAnnounce {
-		t.Fatalf("expected announce, got %q", env.Type)
-	}
-	bad.reset()
-	good.send(&Envelope{Type: TypeBid, Bid: &BidSubmitMsg{
-		T: ann.Announce.T, Bids: []WireBid{{Alt: 1, Price: 10, Covers: []int{0}, Units: 2}},
-	}})
+			// Both agents receive the announce (so the break cannot race the
+			// server's own announce write); then the bad one breaks its
+			// session instead of bidding.
+			ann := good.recv()
+			if ann.Type != TypeAnnounce {
+				t.Fatalf("expected announce, got %q", ann.Type)
+			}
+			if env := bad.recv(); env.Type != TypeAnnounce {
+				t.Fatalf("expected announce, got %q", env.Type)
+			}
+			tc.breakSession(bad, ann.Announce.T)
+			good.send(&Envelope{Type: TypeBid, Bid: &BidSubmitMsg{
+				T: ann.Announce.T, Bids: []WireBid{{Alt: 1, Price: 10, Covers: []int{0}, Units: 2}},
+			}})
 
-	res := <-done
-	if res.err != nil {
-		t.Fatalf("round failed: %v", res.err)
-	}
-	if res.out.Infeasible || len(res.out.Awards) != 1 || res.out.Awards[0].Bidder != 1 {
-		t.Fatalf("unexpected outcome: %+v", res.out)
-	}
-	waitCond(t, "reset agent deregistered", func() bool { return srv.AgentCount() == 1 })
+			res := <-done
+			if res.err != nil {
+				t.Fatalf("round failed: %v", res.err)
+			}
+			if res.out.Infeasible || len(res.out.Awards) != 1 || res.out.Awards[0].Bidder != 1 {
+				t.Fatalf("unexpected outcome: %+v", res.out)
+			}
+			waitCond(t, "broken agent deregistered", func() bool { return srv.AgentCount() == 1 })
 
-	drops := rec.ByKind(obs.KindAgentDrop)
-	if len(drops) != 1 {
-		t.Fatalf("agent_drop events = %d, want 1 (%v)", len(drops), rec.Kinds())
+			drops := rec.ByKind(obs.KindAgentDrop)
+			if len(drops) != 1 {
+				t.Fatalf("agent_drop events = %d, want 1 (%v)", len(drops), rec.Kinds())
+			}
+			drop := drops[0].(obs.AgentDrop)
+			if drop.ID != 2 || drop.Cause != obs.DropReadError {
+				t.Fatalf("drop = %+v, want agent 2 with cause %q", drop, obs.DropReadError)
+			}
+			if got := srv.Metrics().Counter("platform_agent_drops_total").Value(); got != 1 {
+				t.Errorf("platform_agent_drops_total = %d, want 1", got)
+			}
+			sum := srv.Summary()
+			if sum == nil || sum.Rounds != 1 || sum.InfeasibleRounds != 0 {
+				t.Fatalf("summary = %+v, want 1 feasible round", sum)
+			}
+		})
 	}
-	drop := drops[0].(obs.AgentDrop)
-	if drop.ID != 2 || drop.Cause != obs.DropReadError {
-		t.Fatalf("drop = %+v, want agent 2 with cause %q", drop, obs.DropReadError)
-	}
-	sum := srv.Summary()
-	if sum == nil || sum.Rounds != 1 || sum.InfeasibleRounds != 0 {
-		t.Fatalf("summary = %+v, want 1 feasible round", sum)
-	}
+}
+
+// bidLine is a valid one-bid line for the round, without its newline.
+func bidLine(round int) []byte {
+	return []byte(fmt.Sprintf(`{"type":"bid","bid":{"t":%d,"bids":[{"alt":1,"price":1,"covers":[0],"units":2}]}}`, round))
+}
+
+// overCapLine pads a valid JSON line with spaces to one byte over
+// maxFrameBytes, newline included: without the cap it would decode.
+func overCapLine(line []byte) []byte {
+	padded := bytes.Repeat([]byte{' '}, maxFrameBytes+1)
+	copy(padded, line)
+	padded[len(padded)-1] = '\n'
+	return padded
 }
 
 // TestSlowWriterDropped registers a peer that never reads and announces a
@@ -283,100 +315,5 @@ func TestRoundCancelledByContext(t *testing.T) {
 	}
 	if sum := srv.Summary(); sum == nil || sum.Rounds != 1 {
 		t.Fatalf("summary after follow-up = %+v, want 1 round", sum)
-	}
-}
-
-// overCapLine is a bid line one byte longer than maxFrameBytes: a valid
-// bid for round t padded with whitespace, newline included.
-func overCapLine(t int) []byte {
-	body := fmt.Sprintf(`{"type":"bid","bid":{"t":%d,"bids":[{"alt":1,"price":1,"covers":[0],"units":2}]}}`, t)
-	line := bytes.Repeat([]byte{' '}, maxFrameBytes+1)
-	copy(line, body)
-	line[len(line)-1] = '\n'
-	return line
-}
-
-// TestOverCapBidLineDropsOnlyItsSession sends a bid line one byte over
-// the frame cap mid-round: the server must drop that session alone,
-// count the drop in platform_agent_drops_total, and still clear the
-// round on the honest agent's bid from another session.
-func TestOverCapBidLineDropsOnlyItsSession(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0", ServerConfig{BidDeadline: 250 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = srv.Close() }()
-
-	good := dialRaw(t, srv.Addr(), 1, 0)
-	defer func() { _ = good.conn.Close() }()
-	bad := dialRaw(t, srv.Addr(), 2, 0)
-	defer func() { _ = bad.conn.Close() }()
-	waitCond(t, "both agents registered", func() bool { return srv.AgentCount() == 2 })
-
-	type roundRes struct {
-		out *RoundOutcome
-		err error
-	}
-	done := make(chan roundRes, 1)
-	go func() {
-		out, err := srv.RunRound([]int{2}, nil)
-		done <- roundRes{out, err}
-	}()
-	ann := good.recv()
-	if ann.Type != TypeAnnounce {
-		t.Fatalf("expected announce, got %q", ann.Type)
-	}
-	if env := bad.recv(); env.Type != TypeAnnounce {
-		t.Fatalf("expected announce, got %q", env.Type)
-	}
-	// The server may close the connection before the whole line is
-	// written, so the write's own error is expected either way.
-	go func() { _, _ = bad.conn.Write(overCapLine(ann.Announce.T)) }()
-	good.send(&Envelope{Type: TypeBid, Bid: &BidSubmitMsg{
-		T: ann.Announce.T, Bids: []WireBid{{Alt: 1, Price: 10, Covers: []int{0}, Units: 2}},
-	}})
-
-	res := <-done
-	if res.err != nil {
-		t.Fatalf("round failed: %v", res.err)
-	}
-	if res.out.Infeasible || len(res.out.Awards) != 1 || res.out.Awards[0].Bidder != 1 {
-		t.Fatalf("unexpected outcome: %+v", res.out)
-	}
-	waitCond(t, "over-cap session dropped", func() bool { return srv.AgentCount() == 1 })
-	if got := srv.Metrics().Counter("platform_agent_drops_total").Value(); got != 1 {
-		t.Errorf("platform_agent_drops_total = %d, want 1", got)
-	}
-}
-
-// TestOverCapHelloRegistersNobody sends a hello line over the frame cap:
-// the server must refuse it without registering any agent.
-func TestOverCapHelloRegistersNobody(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0", ServerConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = srv.Close() }()
-
-	c, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	line := bytes.Repeat([]byte{' '}, maxFrameBytes+1)
-	copy(line, `{"type":"hello","hello":{"agent_id":5,"capacity":1}}`)
-	line[len(line)-1] = '\n'
-	go func() { _, _ = c.Write(line) }()
-	// The server closes the connection without a welcome.
-	if err := c.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	if reply, err := bufio.NewReader(c).ReadBytes('\n'); err == nil {
-		t.Fatalf("over-cap hello got a reply: %s", reply)
-	} else if errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatal("server kept the over-cap hello's connection open")
-	}
-	if n := srv.AgentCount(); n != 0 {
-		t.Fatalf("over-cap hello registered %d agents", n)
 	}
 }

@@ -393,31 +393,42 @@ func TestPlatformMalformedClientRejected(t *testing.T) {
 
 // TestPlatformHelloWithBadIDRejected: a hello with a non-positive id, an
 // oversized count or an overflowing id range is refused with an error
-// envelope before anything registers, and a normal multiplexed hello
-// still registers afterwards.
+// envelope before anything registers, a hello line over the frame cap is
+// refused without a reply, and a normal multiplexed hello still
+// registers afterwards.
 func TestPlatformHelloWithBadIDRejected(t *testing.T) {
 	srv := startServer(t, ServerConfig{})
 	for _, tc := range []struct {
-		hello  HelloMsg
-		reply  string
-		agents int
+		hello   HelloMsg
+		overCap bool // pad the line past maxFrameBytes: no reply at all
+		reply   string
+		agents  int
 	}{
-		{HelloMsg{AgentID: -3}, TypeError, 0},
-		{HelloMsg{AgentID: 1, Count: 1_000_000_000}, TypeError, 0},
-		{HelloMsg{AgentID: 1, Count: maxSessionAgents + 1}, TypeError, 0},
-		{HelloMsg{AgentID: math.MaxInt - 2, Count: 4}, TypeError, 0},
-		{HelloMsg{AgentID: 1, Count: 3}, TypeWelcome, 3},
+		{HelloMsg{AgentID: -3}, false, TypeError, 0},
+		{HelloMsg{AgentID: 1, Count: 1_000_000_000}, false, TypeError, 0},
+		{HelloMsg{AgentID: 1, Count: maxSessionAgents + 1}, false, TypeError, 0},
+		{HelloMsg{AgentID: math.MaxInt - 2, Count: 4}, false, TypeError, 0},
+		{HelloMsg{AgentID: 5, Capacity: 1}, true, "", 0},
+		{HelloMsg{AgentID: 1, Count: 3}, false, TypeWelcome, 3},
 	} {
 		raw, err := net.Dial("tcp", srv.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer func() { _ = raw.Close() }()
-		var resp Envelope
-		if err := json.NewEncoder(raw).Encode(Envelope{Type: TypeHello, Hello: &tc.hello}); err != nil {
+		line, err := json.Marshal(Envelope{Type: TypeHello, Hello: &tc.hello})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := json.NewDecoder(raw).Decode(&resp); err != nil {
+		line = append(line, '\n')
+		if tc.overCap {
+			line = overCapLine(line[:len(line)-1])
+		}
+		// The server may close the connection before the whole line is
+		// written, so the write's own error is left to the reply check.
+		go func() { _, _ = raw.Write(line) }()
+		var resp Envelope
+		if err := json.NewDecoder(raw).Decode(&resp); err != nil && tc.reply != "" {
 			t.Fatal(err)
 		}
 		if resp.Type != tc.reply || srv.AgentCount() != tc.agents {

@@ -148,12 +148,14 @@ func RunCompare(cfg CompareConfig) (*CompareResult, error) {
 		logger = log.New(io.Discard, "", 0)
 	}
 
-	variant := pass{name: "pipelined", pipelined: true}
-	if len(sc.PlatformCrashes) > 0 || !sc.Pipelined {
-		variant = pass{name: "crashed", script: map[crashKey]bool{}, snapDir: filepath.Join(cfg.Dir, "snapshots")}
-		for _, c := range sc.PlatformCrashes {
-			variant.script[crashKey{round: c.Round, point: c.Point}] = false
-		}
+	// A scenario with neither crash points nor Pipelined gets a crashed
+	// pass without kills: an uninterrupted rerun of the baseline.
+	variant := pass{name: "crashed", script: map[crashKey]bool{}, snapDir: filepath.Join(cfg.Dir, "snapshots")}
+	for _, c := range sc.PlatformCrashes {
+		variant.script[crashKey{round: c.Round, point: c.Point}] = false
+	}
+	if len(sc.PlatformCrashes) == 0 && sc.Pipelined {
+		variant = pass{name: "pipelined", pipelined: true}
 	}
 
 	base, err := runPass(sc, cfg, pass{name: "baseline"}, logger)

@@ -96,8 +96,8 @@ type crashKey struct {
 	point string
 }
 
-// pass is what one comparison pass varies. The zero pass (named
-// "baseline") is the uninterrupted serial RunRound loop.
+// pass is what one comparison pass varies. A pass with only a name
+// ("baseline") is the uninterrupted serial RunRound loop.
 type pass struct {
 	// name is the log label and the WAL file stem.
 	name string

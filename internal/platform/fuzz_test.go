@@ -50,15 +50,51 @@ func FuzzReadAudit(f *testing.F) {
 // envelope a type; after resetForReuse a bid frame must decode to exactly
 // its own fields — nothing may leak from the line before, whether that
 // line was a dense bid frame or the fuzzed one. (Other message types
-// decode next to the kept, empty bid storage.)
+// decode next to the kept, empty bid storage.) Bid lines take the
+// hand-written scanBid and everything it declines takes encoding/json, so
+// the seeds hit each of the scanner's branches and each way out of its
+// subset.
 func FuzzRecvInto(f *testing.F) {
-	f.Add([]byte(`{"type":"bid","bid":{"t":3,"bids":[{"alt":1,"price":12.5,"covers":[0,2],"units":2}]}}`))
-	f.Add([]byte(`{"type":"bid","bid":{"t":4,"multi":[{"agent":7,"bids":[{"price":9,"covers":[1],"units":1}]},{"agent":8,"bids":[]}]}}`))
-	f.Add([]byte(`{"type":"bid","bid":{"t":5,"bids":[{"covers":[null]}]}}`))
-	f.Add([]byte(`{"type":"hello","hello":{"agent_id":3,"capacity":9,"count":2}}`))
-	f.Add([]byte(`{"type":""}`))
-	f.Add([]byte(`{`))
-	f.Add([]byte(``))
+	for _, line := range []string{
+		`{"type":"bid","bid":{"t":3,"bids":[{"alt":1,"price":12.5,"covers":[0,2],"units":2}]}}`,
+		`{"type":"bid","bid":{"t":4,"multi":[{"agent":7,"bids":[{"price":9,"covers":[1],"units":1}]},{"agent":8,"bids":[]}]}}`,
+		`{"type":"hello","hello":{"agent_id":3,"capacity":9,"count":2}}`,
+		`{"type":""}`,
+		`{`,
+		``,
+		// Shapes the scanner takes.
+		`{"bid":{"bids":[{"units":2,"covers":[3],"price":4.25,"alt":1}],"t":6},"type":"bid"}`,
+		"{ \"type\" :\t\"bid\" , \"bid\" : { \"t\" : 7 , \"multi\" : [ { \"bids\" : [ ] , \"agent\" : 2 } ] } }\r ",
+		`{"type":"bid","bid":{"t":8,"bids":[]}}`,
+		`{"type":"bid","bid":{"t":-0,"bids":[{"alt":-0,"price":-0,"covers":[-0],"units":-12}]}}`,
+		`{"type":"bid","bid":{"t":9,"bids":[{"price":0},{"price":1E-7},{"price":1e+21},{"price":-2.5e-3}]}}`,
+		`{"type":"bid","bid":{"t":999999999999999999,"bids":[{"alt":-999999999999999999}]}}`,
+		`{"type":"bid","bid":{}}`,
+		// Shapes it leaves to encoding/json.
+		`{"type":"bid","bid":{"T":3,"bids":[]}}`,
+		`{"type":"bid","bid":{"t":3,"Bids":[{"alt":1}]}}`,
+		`{"type":"bid","bid":{"t":3,"bids":[{"unitſ":2}]}}`,
+		`{"\u0074ype":"bid","bid":{"t":3}}`,
+		`{"type":"b\u0069d","bid":{"t":3}}`,
+		`{"type":"bid","bid":{"t":3,"t":4}}`,
+		`{"type":"bid","bid":{"t":3,"bids":[{"alt":1,"covers":null}]}}`,
+		`{"type":"bid","bid":{"t":5,"bids":[{"covers":[null]}]}}`,
+		`{"type":"bid","bid":null}`,
+		`{"type":"bid","bid":{"t":null}}`,
+		`{"type":"bid","bid":{"t":1.0}}`,
+		`{"type":"bid","bid":{"t":1e2}}`,
+		`{"type":"bid","bid":{"t":01}}`,
+		`{"type":"bid","bid":{"t":1000000000000000000}}`,
+		`{"type":"bid","bid":{"t":3,"bids":[{"price":1e400}]}}`,
+		`{"type":"bid","bid":{"t":3,"bids":[{"price":0x1p3}]}}`,
+		`{"bid":{"t":3},"type":"hello"}`,
+		`{"bid":{"t":3}}`,
+		`{"type":"bid","bid":{"t":3}}}`,
+		`{"type":"bid","bid":{"t":3,"bids":[{"alt":1,}]}}`,
+		`{"type":"bid","bid":{"t":3},"error":"x"}`,
+	} {
+		f.Add([]byte(line))
+	}
 
 	dense := []byte(`{"type":"bid","bid":{"t":9,"bids":[` +
 		`{"alt":4,"price":31,"covers":[5,6,7],"units":3},{"alt":5,"price":32,"covers":[8],"units":4}],` +

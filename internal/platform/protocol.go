@@ -249,7 +249,9 @@ func (c *conn) readLine(buf *[]byte) ([]byte, error) {
 // owns the reset discipline: clear env between messages so a field the
 // peer omitted cannot inherit a stale value from the previous message.
 // Used by the server's bid ingest loop, where everything decoded is
-// copied out (into the CSR arena) before the next receive.
+// copied out (into the CSR arena) before the next receive. A bid line
+// goes through the hand-written scanBid; every line it does not take is
+// decoded by encoding/json from a freshly reset env.
 func (c *conn) recvInto(env *Envelope, buf *[]byte, timeout time.Duration) error {
 	if timeout > 0 {
 		if err := c.raw.SetReadDeadline(time.Now().Add(timeout)); err != nil {
@@ -264,6 +266,10 @@ func (c *conn) recvInto(env *Envelope, buf *[]byte, timeout time.Duration) error
 	if err != nil {
 		return err
 	}
+	if scanBid(line, env) {
+		return nil
+	}
+	env.resetForReuse()
 	if err := json.Unmarshal(line, env); err != nil {
 		return fmt.Errorf("%w: bad JSON: %v", ErrProtocol, err)
 	}

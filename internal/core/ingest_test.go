@@ -122,3 +122,40 @@ func TestIngestBufferAcrossRounds(t *testing.T) {
 		t.Fatal("state hashes diverge between plain and batch-ingest paths")
 	}
 }
+
+// BenchmarkIngestBuffer times a fleet-10k round's ingest on a buffer
+// reused across rounds, as the server reuses its own: "add" is Reset and
+// Add of 10k one-bid agents (1–2 of 4 covers, arriving in id order),
+// "build" the canonical Build of those bids.
+func BenchmarkIngestBuffer(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	demand := []int{2, 1, 2, 1}
+	bids := make([]Bid, 10000)
+	for i := range bids {
+		covers := rng.Perm(len(demand))[:1+rng.Intn(2)]
+		bids[i] = Bid{Bidder: i + 1, Price: float64(100+rng.Intn(1900)) / 100, Covers: covers, Units: 1}
+	}
+	ib := NewIngestBuffer(8)
+	add := func() {
+		ib.Reset(demand)
+		for i := range bids {
+			bd := &bids[i]
+			ib.Add(bd.Bidder, bd.Alt, bd.Price, bd.Covers, bd.Units)
+		}
+	}
+	add()
+	ib.Build()
+	b.Run("add", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			add()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(bids)), "ns/bid")
+	})
+	b.Run("build", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ib.Build()
+		}
+	})
+}

@@ -10,9 +10,11 @@ build:
 test:
 	$(GO) test ./...
 
-# check is the per-PR verification gate: formatting and static analysis,
-# the facade-coverage rule (every internal type reachable from the public
-# surface must be re-exported) and the map-order float rule (no float
+# check is the per-PR verification gate: a 1 MiB size cap on tracked
+# files (a larger one is almost always a committed build artifact),
+# formatting and static analysis, the facade-coverage rule
+# (every internal type reachable from the public surface must be
+# re-exported) and the map-order float rule (no float
 # accumulation inside a range over a map) — both run first and by name
 # so a violation fails loudly before the long race run — the full test
 # suite under the race detector (the platform tests exercise real TCP
@@ -23,6 +25,10 @@ test:
 # run proving the end-to-end figure pipeline and its wall-clock report
 # still work.
 check:
+	@big=$$(git ls-files -z | xargs -0 -r wc -c 2>/dev/null | \
+		awk '$$1 > 1048576 && $$2 != "total"'); \
+		if [ -n "$$big" ]; then echo "tracked files over 1 MiB:"; \
+		echo "$$big"; exit 1; fi
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt"; exit 1; fi
 	$(GO) vet ./...

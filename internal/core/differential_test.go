@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -212,6 +213,99 @@ func TestDifferentialSaturationHeavy(t *testing.T) {
 			assertDifferential(t, ins, raw, opts, labelFor(trial, oi, "sat-raw"))
 			assertDifferential(t, ins, psi, opts, labelFor(trial, oi, "sat-psi"))
 		}
+	}
+}
+
+// shuffledBidderInstance is randomInstance with the bidder ids remapped to
+// sparse ids in [1, 1000) and the bids shuffled, so one bidder's
+// alternatives are scattered through the bid order and neither id order
+// nor contiguity matches it.
+func shuffledBidderInstance(rng *rand.Rand, bidders, needy, altsPer int) *Instance {
+	ins := randomInstance(rng, bidders, needy, altsPer)
+	ids := rng.Perm(999)
+	for i := range ins.Bids {
+		ins.Bids[i].Bidder = 1 + ids[ins.Bids[i].Bidder]
+	}
+	rng.Shuffle(len(ins.Bids), func(i, j int) { ins.Bids[i], ins.Bids[j] = ins.Bids[j], ins.Bids[i] })
+	return ins
+}
+
+// certDiff reports the first of Xi, Z and DualObjective on which got
+// differs from want, bit for bit, or "" when they agree.
+func certDiff(want, got *DualCertificate) string {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	switch {
+	case !same(want.Xi, got.Xi):
+		return fmt.Sprintf("Xi %v, want %v", got.Xi, want.Xi)
+	case !same(want.DualObjective, got.DualObjective):
+		return fmt.Sprintf("DualObjective %v, want %v", got.DualObjective, want.DualObjective)
+	case len(want.Z) != len(got.Z):
+		return fmt.Sprintf("Z %v, want %v", got.Z, want.Z)
+	}
+	for bidder, z := range want.Z {
+		if gz, ok := got.Z[bidder]; !ok || !same(z, gz) {
+			return fmt.Sprintf("Z %v, want %v", got.Z, want.Z)
+		}
+	}
+	return ""
+}
+
+// TestCertificateGroupingOracle holds the certificate's bidder grouping —
+// Ξ and the Lemma-1 slack z, which the kernel reads from its sorted
+// bidder groups — to the map-based oracle refCertFinish, on instances
+// with sparse, repeated and shuffled bidder ids and several alternatives
+// per bidder. The kernel path runs end to end through ssamScaled, and
+// finish also runs directly on the kernel's groups. The slack-carrying
+// fitting wins on about one instance in twenty, so the sweep is long
+// enough to reach it. The negative control hands finish one group per
+// bid, which must be caught on every instance: each bidder's alternatives
+// have distinct prices, so Ξ > 1.
+func TestCertificateGroupingOracle(t *testing.T) {
+	const trials = 200
+	rng := rand.New(rand.NewSource(16))
+	slack := 0
+	for trial := 0; trial < trials; trial++ {
+		ins := shuffledBidderInstance(rng, 2+rng.Intn(10), 1+rng.Intn(5), 2+rng.Intn(3))
+		scaled := make([]float64, len(ins.Bids))
+		factor := 1 + rng.Float64()
+		for i, b := range ins.Bids {
+			scaled[i] = b.Price * factor
+		}
+		label := "grouping trial=" + itoa(trial)
+		opts := Options{Parallelism: 1}
+		assertDifferential(t, ins, scaled, opts, label)
+
+		out, err := referenceSSAMScaled(ins, scaled, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		// Feed a certBuilder the run's iterations, as both SSAM paths do.
+		cb := newCertBuilder(ins, scaled)
+		cs := newRefCoverageState(ins.Demand)
+		for _, w := range out.Winners {
+			m := cs.marginal(&ins.Bids[w])
+			cb.record(w, &ins.Bids[w], cs.apply(&ins.Bids[w]), scaled[w], m)
+		}
+		want := refCertFinish(cb, out)
+		if len(want.Z) > 0 {
+			slack++
+		}
+
+		kn := new(kernel)
+		kn.groupBidders(ins.Bids)
+		if d := certDiff(want, cb.finish(out, kn.groupStart, kn.groupBids)); d != "" {
+			t.Fatalf("%s: kernel grouping: %s", label, d)
+		}
+		perBid := make([]int32, len(ins.Bids)+1)
+		for i := range perBid {
+			perBid[i] = int32(i)
+		}
+		if certDiff(want, cb.finish(out, perBid, perBid[:len(ins.Bids)])) == "" {
+			t.Fatalf("%s: one group per bid went unnoticed (Xi %v)", label, want.Xi)
+		}
+	}
+	if slack == 0 {
+		t.Fatalf("no certificate of %d carried bidder slack; z went untested", trials)
 	}
 }
 

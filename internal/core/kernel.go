@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -120,21 +122,23 @@ type kernel struct {
 	coverKey   []int32 // needy index per edge
 	coverCap   []int32 // min(Units, Demand[key]) per edge
 
-	// Bidder grouping ("remove ALL bids of the winning bidder"): groupOf
-	// maps a bid to a dense bidder id, groupStart/groupBids list each
-	// group's bids CSR-style. bidderGroup is the build-time dense
-	// re-indexing map, retained (and cleared) across pooled reuse.
-	groupOf     []int32
-	groupStart  []int32
-	groupBids   []int32
-	cursor      []int32
-	bidderGroup map[int]int32
+	// Bidder grouping ("remove ALL bids of the winning bidder"):
+	// groupBids is the bid index permutation sorted by (Bidder, index), so
+	// group g — the g-th smallest bidder id — owns
+	// groupBids[groupStart[g]:groupStart[g+1]] in ascending bid order, and
+	// groupOf maps a bid back to its group. The certificate reads the same
+	// groups for Ξ and the bidder slack z.
+	groupOf    []int32
+	groupStart []int32
+	groupBids  []int32
 
 	// Inverse cover incidence (CSR): the bids covering needy k are
 	// incBid[incStart[k]:incStart[k+1]]. The batch dirtying pass walks one
-	// row per needy whose θ changed, bumping the covering bids' epochs.
+	// row per needy whose θ changed, bumping the covering bids' epochs;
+	// cursor is build's counting-sort scratch.
 	incStart []int32
 	incBid   []int32
+	cursor   []int32
 
 	// Main-run lazy-rescore priority structure over (score, bid index);
 	// see lazyheap.go for the staleness/exactness invariants. Each payment
@@ -240,37 +244,7 @@ func (kn *kernel) build(ins *Instance, scaled []float64, opts Options) error {
 	}
 	kn.coverStart[nb] = e
 
-	if kn.bidderGroup == nil {
-		kn.bidderGroup = make(map[int]int32, nb)
-	}
-	clear(kn.bidderGroup)
-	kn.groupOf = resizeInt32(kn.groupOf, nb)
-	for i := range ins.Bids {
-		g, ok := kn.bidderGroup[ins.Bids[i].Bidder]
-		if !ok {
-			g = int32(len(kn.bidderGroup))
-			kn.bidderGroup[ins.Bids[i].Bidder] = g
-		}
-		kn.groupOf[i] = g
-	}
-	groups := len(kn.bidderGroup)
-	kn.groupStart = resizeInt32(kn.groupStart, groups+1)
-	for g := range kn.groupStart {
-		kn.groupStart[g] = 0
-	}
-	for i := 0; i < nb; i++ {
-		kn.groupStart[kn.groupOf[i]+1]++
-	}
-	for g := 0; g < groups; g++ {
-		kn.groupStart[g+1] += kn.groupStart[g]
-	}
-	kn.groupBids = resizeInt32(kn.groupBids, nb)
-	kn.cursor = append(kn.cursor[:0], kn.groupStart[:groups]...)
-	for i := 0; i < nb; i++ {
-		g := kn.groupOf[i]
-		kn.groupBids[kn.cursor[g]] = int32(i)
-		kn.cursor[g]++
-	}
+	kn.groupBidders(ins.Bids)
 
 	// Inverse incidence rows (counting sort over the CSR edges).
 	kn.incStart = resizeInt32(kn.incStart, nk+1)
@@ -302,6 +276,32 @@ func (kn *kernel) build(ins *Instance, scaled []float64, opts Options) error {
 	kn.ckCandStart = append(kn.ckCandStart[:0], 0)
 	kn.lh.seed(kn, kn.theta, &kn.cand)
 	return nil
+}
+
+// groupBidders fills groupBids, groupStart and groupOf for bids. The
+// canonical (Bidder, Alt) order IngestBuffer.Build emits is already sorted
+// by (Bidder, index), which pdqsort confirms in linear time; other callers
+// pay one index sort. The order is total, so the sort needs no stability.
+func (kn *kernel) groupBidders(bids []Bid) {
+	kn.groupBids = resizeInt32(kn.groupBids, len(bids))
+	for i := range kn.groupBids {
+		kn.groupBids[i] = int32(i)
+	}
+	slices.SortFunc(kn.groupBids, func(a, b int32) int {
+		if c := cmp.Compare(bids[a].Bidder, bids[b].Bidder); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	kn.groupOf = resizeInt32(kn.groupOf, len(bids))
+	kn.groupStart = kn.groupStart[:0]
+	for j, b := range kn.groupBids {
+		if j == 0 || bids[b].Bidder != bids[kn.groupBids[j-1]].Bidder {
+			kn.groupStart = append(kn.groupStart, int32(j))
+		}
+		kn.groupOf[b] = int32(len(kn.groupStart) - 1)
+	}
+	kn.groupStart = append(kn.groupStart, int32(len(bids)))
 }
 
 // scoreOf is the greedy metric evaluated exactly as the reference does:

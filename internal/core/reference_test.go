@@ -13,6 +13,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sort"
 )
 
 // refCoverageState tracks θ_k, the units of coverage accumulated per needy
@@ -248,7 +249,7 @@ func referenceSSAMScaled(ins *Instance, scaled []float64, opts Options) (*Outcom
 	refComputePayments(ins, scaled, out.Winners, opts, out.Payments)
 
 	if cert != nil {
-		out.Dual = cert.finish(out)
+		out.Dual = refCertFinish(cert, out)
 	}
 	return out, nil
 }
@@ -318,4 +319,114 @@ func referenceBudgetedSSAM(ins *Instance, budget float64, opts Options) (*Budget
 
 	out.UncoveredDemand = cs.deficit
 	return out, nil
+}
+
+// refCertFinish is the seed certBuilder.finish: it groups bids by bidder
+// through maps (refBidderPriceSpread for Ξ, zB for the Lemma-1 slack) and
+// sums the slack in sorted-key order, independently of the kernel's
+// sorted bidder groups that the production finish reads.
+func refCertFinish(cb *certBuilder, out *Outcome) *DualCertificate {
+	ins := cb.ins
+	cert := &DualCertificate{
+		UnitPrices: cb.unitPrices,
+		UnitTimes:  cb.unitTimes,
+		W:          harmonic(maxCoverCapacity(ins)),
+		Xi:         refBidderPriceSpread(ins, cb.scaled),
+	}
+	cert.Primal = out.ScaledCost
+
+	rawY := make([]float64, len(ins.Demand))
+	for k, prices := range cb.unitPrices {
+		if len(prices) == 0 {
+			continue
+		}
+		var sum float64
+		for _, rho := range prices {
+			sum += rho
+		}
+		rawY[k] = sum / float64(len(prices))
+	}
+	lhs := make([]float64, len(ins.Bids))
+	for i := range ins.Bids {
+		b := &ins.Bids[i]
+		for _, k := range b.Covers {
+			lhs[i] += float64(b.Units) * rawY[k]
+		}
+	}
+	var demandDotY float64
+	for k, d := range ins.Demand {
+		demandDotY += float64(d) * rawY[k]
+	}
+
+	scaleA := math.Inf(1)
+	for i := range ins.Bids {
+		if lhs[i] > 0 {
+			if s := cb.scaled[i] / lhs[i]; s < scaleA {
+				scaleA = s
+			}
+		}
+	}
+	if math.IsInf(scaleA, 1) {
+		scaleA = 0
+	}
+	objA := scaleA * demandDotY
+
+	scaleB := 1 / (cert.W * cert.Xi)
+	zB := make(map[int]float64)
+	for i := range ins.Bids {
+		b := &ins.Bids[i]
+		if excess := lhs[i]*scaleB - cb.scaled[i]; excess > zB[b.Bidder] {
+			zB[b.Bidder] = excess
+		}
+	}
+	objB := scaleB * demandDotY
+	bidders := make([]int, 0, len(zB))
+	for b := range zB {
+		bidders = append(bidders, b)
+	}
+	sort.Ints(bidders)
+	for _, b := range bidders {
+		objB -= zB[b]
+	}
+
+	scale, z, obj := scaleA, map[int]float64{}, objA
+	if objB > objA {
+		scale, z, obj = scaleB, zB, objB
+	}
+	cert.Y = make([]float64, len(rawY))
+	for k := range rawY {
+		cert.Y[k] = rawY[k] * scale
+	}
+	cert.Z = z
+	cert.DualObjective = obj
+	return cert
+}
+
+// refBidderPriceSpread is the seed Ξ: the maximum over bidders of the
+// ratio of its most to least expensive scaled price, grouped through a
+// map keyed by bidder id.
+func refBidderPriceSpread(ins *Instance, scaled []float64) float64 {
+	type span struct{ lo, hi float64 }
+	spans := make(map[int]*span)
+	for i := range ins.Bids {
+		p := scaled[i]
+		s := spans[ins.Bids[i].Bidder]
+		if s == nil {
+			spans[ins.Bids[i].Bidder] = &span{lo: p, hi: p}
+			continue
+		}
+		if p < s.lo {
+			s.lo = p
+		}
+		if p > s.hi {
+			s.hi = p
+		}
+	}
+	xi := 1.0
+	for _, s := range spans {
+		if s.lo > 0 && s.hi/s.lo > xi {
+			xi = s.hi / s.lo
+		}
+	}
+	return xi
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 
 	"edgeauction/internal/obs"
 )
@@ -149,7 +148,7 @@ func ssamScaled(ins *Instance, scaled []float64, opts Options) (*Outcome, error)
 	kn.computePayments(ins, opts, out.Payments)
 
 	if cert != nil {
-		out.Dual = cert.finish(out)
+		out.Dual = cert.finish(out, kn.groupStart, kn.groupBids)
 		if opts.Tracer != nil {
 			opts.Tracer.Emit(obs.Certificate{
 				Ratio:            out.Dual.Ratio(),
@@ -224,15 +223,40 @@ func (cb *certBuilder) record(_ int, b *Bid, gains []int, price float64, margina
 	cb.iteration++
 }
 
-func (cb *certBuilder) finish(out *Outcome) *DualCertificate {
+// finish fits the dual certificate. groupStart/groupBids are the kernel's
+// bidder groups (kernel.groupBidders): group g's bids, in ascending bid
+// order, with groups in ascending bidder order.
+func (cb *certBuilder) finish(out *Outcome, groupStart, groupBids []int32) *DualCertificate {
 	ins := cb.ins
 	cert := &DualCertificate{
 		UnitPrices: cb.unitPrices,
 		UnitTimes:  cb.unitTimes,
 		W:          harmonic(maxCoverCapacity(ins)),
-		Xi:         bidderPriceSpread(ins, cb.scaled),
+		Xi:         1,
+		Primal:     out.ScaledCost,
 	}
-	cert.Primal = out.ScaledCost
+	groups := len(groupStart) - 1
+	group := func(g int) []int32 { return groupBids[groupStart[g]:groupStart[g+1]] }
+
+	// Ξ is the largest ratio of a bidder's most to least expensive scaled
+	// price. With one bid per bidder Ξ = 1 and the certificate collapses to
+	// the plain H_n bound, as the paper notes after Theorem 3.
+	for g := 0; g < groups; g++ {
+		bids := group(g)
+		lo, hi := cb.scaled[bids[0]], cb.scaled[bids[0]]
+		for _, i := range bids[1:] {
+			p := cb.scaled[i]
+			if p < lo {
+				lo = p
+			}
+			if p > hi {
+				hi = p
+			}
+		}
+		if lo > 0 && hi/lo > cert.Xi {
+			cert.Xi = hi / lo
+		}
+	}
 
 	// Dual fitting against the LP dual of (12):
 	//   max Σ_k X_k·y_k − Σ_i z_i
@@ -286,33 +310,32 @@ func (cb *certBuilder) finish(out *Outcome) *DualCertificate {
 	}
 	objA := scaleA * demandDotY
 
-	// Candidate (b): analysis scaling with per-bidder slack.
+	// Candidate (b): analysis scaling with per-bidder slack z, the largest
+	// excess over the bidder's bids (0 when none is positive). The slack
+	// is subtracted group by group, in ascending bidder order: float64
+	// addition is not associative, and the certificate must be
+	// deterministic (the differential tests compare it bit for bit).
+	// Subtracting a zero slack leaves objB unchanged.
 	scaleB := 1 / (cert.W * cert.Xi)
-	zB := make(map[int]float64)
-	for i := range ins.Bids {
-		b := &ins.Bids[i]
-		if excess := lhs[i]*scaleB - cb.scaled[i]; excess > zB[b.Bidder] {
-			zB[b.Bidder] = excess
-		}
-	}
-	// Subtract the bidder slack in sorted-key order: float64 addition is not
-	// associative, and map iteration order is randomized per run, so summing
-	// in map order would make DualObjective differ in its last bits between
-	// two runs on the same instance. The certificate must be deterministic
-	// (the differential tests compare it bit for bit).
 	objB := scaleB * demandDotY
-	bidders := make([]int, 0, len(zB))
-	for b := range zB {
-		bidders = append(bidders, b)
-	}
-	sort.Ints(bidders)
-	for _, b := range bidders {
-		objB -= zB[b]
+	zB := make([]float64, groups)
+	for g := range zB {
+		for _, i := range group(g) {
+			if excess := lhs[i]*scaleB - cb.scaled[i]; excess > zB[g] {
+				zB[g] = excess
+			}
+		}
+		objB -= zB[g]
 	}
 
 	scale, z, obj := scaleA, map[int]float64{}, objA
 	if objB > objA {
-		scale, z, obj = scaleB, zB, objB
+		scale, obj = scaleB, objB
+		for g, zg := range zB {
+			if zg > 0 {
+				z[ins.Bids[group(g)[0]].Bidder] = zg
+			}
+		}
 	}
 	cert.Y = make([]float64, len(rawY))
 	for k := range rawY {
@@ -358,36 +381,6 @@ func maxCoverCapacity(ins *Instance) int {
 		}
 	}
 	return maxCap
-}
-
-// bidderPriceSpread returns Ξ: the maximum over bidders of the ratio of its
-// most to least expensive alternative bid (scaled prices). With one bid per
-// bidder Ξ = 1 and the certificate collapses to the plain H_n bound, as the
-// paper notes after Theorem 3.
-func bidderPriceSpread(ins *Instance, scaled []float64) float64 {
-	type span struct{ lo, hi float64 }
-	spans := make(map[int]*span)
-	for i := range ins.Bids {
-		p := scaled[i]
-		s := spans[ins.Bids[i].Bidder]
-		if s == nil {
-			spans[ins.Bids[i].Bidder] = &span{lo: p, hi: p}
-			continue
-		}
-		if p < s.lo {
-			s.lo = p
-		}
-		if p > s.hi {
-			s.hi = p
-		}
-	}
-	xi := 1.0
-	for _, s := range spans {
-		if s.lo > 0 && s.hi/s.lo > xi {
-			xi = s.hi / s.lo
-		}
-	}
-	return xi
 }
 
 // DualCertificate is the primal–dual approximation certificate produced by

@@ -90,22 +90,27 @@ func waitCond(t *testing.T, what string, cond func() bool) {
 // the frame cap — and the round must still clear on the surviving
 // agent's bid. The broken session alone is dropped: one agent_drop trace
 // event with the read-error cause, counted in platform_agent_drops_total.
+// The drop releases the broken agent from the round, so after a reset,
+// which the server sees at once, the round closes on the surviving bid
+// before its deadline: no agent_timeout event.
 func TestRoundSurvivesAgentReset(t *testing.T) {
+	const deadline = 250 * time.Millisecond
 	for _, tc := range []struct {
 		name         string
 		breakSession func(bad *rawPeer, round int)
+		prompt       bool
 	}{
-		{"reset", func(bad *rawPeer, _ int) { bad.reset() }},
+		{"reset", func(bad *rawPeer, _ int) { bad.reset() }, true},
 		// The server may close the connection before the whole line is
 		// written, so the write's own error is expected either way.
 		{"over-cap-line", func(bad *rawPeer, round int) {
 			go func() { _, _ = bad.conn.Write(overCapLine(bidLine(round))) }()
-		}},
+		}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := &obs.Recorder{}
 			srv, err := NewServer("127.0.0.1:0", ServerConfig{
-				BidDeadline: 250 * time.Millisecond,
+				BidDeadline: deadline,
 				Tracer:      rec,
 			})
 			if err != nil {
@@ -124,6 +129,7 @@ func TestRoundSurvivesAgentReset(t *testing.T) {
 				err error
 			}
 			done := make(chan roundRes, 1)
+			start := time.Now()
 			go func() {
 				out, err := srv.RunRound([]int{2}, nil)
 				done <- roundRes{out, err}
@@ -145,6 +151,9 @@ func TestRoundSurvivesAgentReset(t *testing.T) {
 			}})
 
 			res := <-done
+			if elapsed := time.Since(start); tc.prompt && elapsed >= deadline {
+				t.Errorf("round took %v, want it closed before the %v deadline by agent 2's release", elapsed, deadline)
+			}
 			if res.err != nil {
 				t.Fatalf("round failed: %v", res.err)
 			}
@@ -164,11 +173,68 @@ func TestRoundSurvivesAgentReset(t *testing.T) {
 			if got := srv.Metrics().Counter("platform_agent_drops_total").Value(); got != 1 {
 				t.Errorf("platform_agent_drops_total = %d, want 1", got)
 			}
+			if timeouts := rec.ByKind(obs.KindAgentTimeout); tc.prompt && len(timeouts) != 0 {
+				t.Errorf("agent_timeout events = %v, want none: the drop released agent 2", timeouts)
+			}
 			sum := srv.Summary()
 			if sum == nil || sum.Rounds != 1 || sum.InfeasibleRounds != 0 {
 				t.Fatalf("summary = %+v, want 1 feasible round", sum)
 			}
 		})
+	}
+}
+
+// TestLateJoinerCannotCloseRound registers a second agent after round
+// 1's announce. The server welcomes it into round 2, so its bid tagged
+// round 1 must neither count toward the round's pending agents nor enter
+// its instance: the round waits for the announced agent's bid and awards
+// that agent.
+func TestLateJoinerCannotCloseRound(t *testing.T) {
+	srv, err := NewServer("127.0.0.1:0", ServerConfig{BidDeadline: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = srv.Close() }()
+
+	announced := dialRaw(t, srv.Addr(), 1, 0)
+	defer func() { _ = announced.conn.Close() }()
+	waitCond(t, "agent 1 registered", func() bool { return srv.AgentCount() == 1 })
+
+	type roundRes struct {
+		out *RoundOutcome
+		err error
+	}
+	done := make(chan roundRes, 1)
+	go func() {
+		out, err := srv.RunRound([]int{2}, nil)
+		done <- roundRes{out, err}
+	}()
+	ann := announced.recv()
+	if ann.Type != TypeAnnounce {
+		t.Fatalf("expected announce, got %q", ann.Type)
+	}
+	bid := func(p *rawPeer, price float64) {
+		p.send(&Envelope{Type: TypeBid, Bid: &BidSubmitMsg{
+			T: ann.Announce.T, Bids: []WireBid{{Alt: 1, Price: price, Covers: []int{0}, Units: 2}},
+		}})
+	}
+
+	late := dialRaw(t, srv.Addr(), 2, 0)
+	defer func() { _ = late.conn.Close() }()
+	bid(late, 50)
+	select {
+	case res := <-done:
+		t.Fatalf("round closed on the late joiner's bid: %+v (err %v)", res.out, res.err)
+	case <-time.After(300 * time.Millisecond):
+	}
+
+	bid(announced, 10)
+	res := <-done
+	if res.err != nil {
+		t.Fatalf("round failed: %v", res.err)
+	}
+	if res.out.Bids != 1 || len(res.out.Awards) != 1 || res.out.Awards[0].Bidder != 1 {
+		t.Fatalf("outcome = %+v, want agent 1's bid alone, awarded", res.out)
 	}
 }
 

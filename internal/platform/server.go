@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -8,7 +9,7 @@ import (
 	"log"
 	"math"
 	"net"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -124,18 +125,27 @@ type Server struct {
 	mRejects *obs.Counter
 	mBidRTT  *obs.LatencyHistogram
 
-	mu       sync.Mutex
-	agents   map[int]*agentConn
+	mu sync.Mutex
+	// sessions is the registry: every registered session, sorted by
+	// first. Id ranges are disjoint, so the order is ascending agent id.
+	// Hello inserts, dropSession deletes, and each round copies it.
+	sessions []*session
 	round    int
 	closed   bool
 	msoa     *core.MSOA
 	auction  core.MSOAConfig // effective config after lazy-init merges
 	capacity map[int]int
 	windows  map[int]core.BidderWindow
+	// walCapacity and walWindows are the copies of auction.Capacity and
+	// auction.Windows that WAL records carry. Records share them until a
+	// hello changes the registration and clears them.
+	walCapacity map[int]int
+	walWindows  map[int]core.BidderWindow
 
-	// gmu guards the gather window: the open round's state plus the
-	// round-state free list. Connection read loops take it per accepted
-	// submission; the round driver takes it to open/close windows.
+	// gmu guards the gather window: the open round's state, the
+	// round-state free list and each session's gather fields. Connection
+	// read loops take it per accepted submission; the round driver takes
+	// it to open/close windows.
 	gmu        sync.Mutex
 	gather     *roundState
 	freeRounds []*roundState
@@ -152,10 +162,24 @@ type session struct {
 	first int
 	count int
 	wmu   sync.Mutex // serializes writes
-	// dead flips once the session has been deregistered; the gather path
-	// checks it so a dropped session's in-flight bid cannot double-count
-	// against the pending adjustment.
+	// dead flips when the session is dropped; the gather path then
+	// discards its in-flight bids.
 	dead atomic.Bool
+
+	// Guarded by Server.gmu. pendingIn is the round whose pending count
+	// holds this session's agents: announce stamps it on the sessions it
+	// counts, and a drop clears it when releasing them. slots holds agent
+	// first+i's gather state at index i.
+	pendingIn int
+	slots     []agentSlot
+}
+
+// agentSlot is one agent's gather state. Its fields are stamped with
+// round numbers (which start at 1), so a new round needs no clearing.
+type agentSlot struct {
+	answered int // the round whose bid from this agent was accepted
+	counted  int // the round that submits counts for
+	submits  int
 }
 
 func (ss *session) send(env *Envelope, timeout time.Duration) error {
@@ -172,34 +196,30 @@ func (ss *session) sendRaw(msgType string, data []byte, timeout time.Duration) e
 
 func (ss *session) owns(id int) bool { return id >= ss.first && id < ss.first+ss.count }
 
-// agentConn is one registered agent (one bidder id) on a session.
-type agentConn struct {
-	id   int
-	sess *session
-}
+// cmpFirst orders the registry by first id, for binary search.
+func cmpFirst(ss *session, first int) int { return cmp.Compare(ss.first, first) }
 
-// roundState is the per-round bookkeeping: the announced agent set, the
-// gather window (pending count, answered set, shard ingest buffers) and
-// the fan-out scratch. States are pooled on the server's free list so
-// back-to-back rounds reuse the same allocations; in pipelined mode two
-// states are live at once (round t settling, round t+1 gathering).
+// roundState is the per-round bookkeeping: the announced session set,
+// the gather window (pending count, shard ingest buffers) and the fan-out
+// scratch. States are pooled on the server's free list so back-to-back
+// rounds reuse the same allocations; in pipelined mode two states are
+// live at once (round t settling, round t+1 gathering).
 type roundState struct {
 	t        int
 	demand   []int
 	needyIDs []int
 	started  time.Time
 
-	agents     []*agentConn
-	sorter     agentsByID
-	sessions   []*session
-	sendErrs   []error
-	droppedIDs []int
-	scratch    []int
+	// sessions is the round's snapshot of the registry, in ascending id
+	// order, and its fan-out list: sessions that die are compacted out
+	// after each fan-out.
+	sessions []*session
+	sendErrs []error
+	scratch  []int
 
-	// gather window, guarded by Server.gmu while open.
+	// gather window, guarded by Server.gmu while open. pending counts the
+	// announced agents of live sessions that have not answered.
 	buf         *core.IngestBuffer
-	answered    map[int]bool
-	submits     map[int]int
 	pending     int
 	open        bool
 	doneClosed  bool
@@ -212,13 +232,14 @@ type roundState struct {
 	ins *core.Instance
 }
 
-// agentsByID sorts a round's agent snapshot by bidder id. It lives as a
-// roundState field so sort.Sort sees an already-boxed pointer.
-type agentsByID struct{ agents []*agentConn }
-
-func (a *agentsByID) Len() int           { return len(a.agents) }
-func (a *agentsByID) Swap(i, j int)      { a.agents[i], a.agents[j] = a.agents[j], a.agents[i] }
-func (a *agentsByID) Less(i, j int) bool { return a.agents[i].id < a.agents[j].id }
+// closeIfAnswered closes the window's done channel once no announced
+// agent is pending. Callers hold Server.gmu.
+func (rs *roundState) closeIfAnswered() {
+	if rs.pending <= 0 && !rs.doneClosed {
+		close(rs.done)
+		rs.doneClosed = true
+	}
+}
 
 func (s *Server) getRoundState() *roundState {
 	s.gmu.Lock()
@@ -229,11 +250,7 @@ func (s *Server) getRoundState() *roundState {
 		s.freeRounds = s.freeRounds[:n-1]
 		return rs
 	}
-	return &roundState{
-		buf:      core.NewIngestBuffer(ingestShards),
-		answered: make(map[int]bool),
-		submits:  make(map[int]int),
-	}
+	return &roundState{buf: core.NewIngestBuffer(ingestShards)}
 }
 
 // putRoundState returns a state to the free list. Callers must be done
@@ -266,7 +283,6 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 		logger:   logger,
 		tracer:   cfg.Tracer,
 		metrics:  obs.NewRegistry(),
-		agents:   make(map[int]*agentConn),
 		capacity: make(map[int]int),
 		windows:  make(map[int]core.BidderWindow),
 		cancel:   cancel,
@@ -315,7 +331,11 @@ func (s *Server) Metrics() *obs.Registry { return s.metrics }
 func (s *Server) AgentCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.agents)
+	n := 0
+	for _, ss := range s.sessions {
+		n += ss.count
+	}
+	return n
 }
 
 func (s *Server) acceptLoop(ctx context.Context) {
@@ -385,23 +405,33 @@ func (s *Server) handle(ctx context.Context, c *conn) {
 		}
 	}
 
-	sess := &session{c: c, first: hello.AgentID, count: count}
+	sess := &session{c: c, first: hello.AgentID, count: count, slots: make([]agentSlot, count)}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		_ = c.send(&Envelope{Type: TypeShutdown}, s.cfg.writeTimeout())
 		return
 	}
-	for i := 0; i < count; i++ {
-		if _, dup := s.agents[hello.AgentID+i]; dup {
-			s.mu.Unlock()
-			_ = c.send(&Envelope{Type: TypeError, Error: fmt.Sprintf("agent %d already registered", hello.AgentID+i)}, s.cfg.writeTimeout())
-			return
-		}
+	// The ranges are disjoint and sorted, so the new range can only
+	// collide with its neighbours at the insertion point; either way the
+	// first taken id is reported.
+	at, _ := slices.BinarySearchFunc(s.sessions, sess.first, cmpFirst)
+	dup := 0
+	switch {
+	case at > 0 && s.sessions[at-1].owns(sess.first):
+		dup = sess.first
+	case at < len(s.sessions) && sess.owns(s.sessions[at].first):
+		dup = s.sessions[at].first
 	}
+	if dup != 0 {
+		s.mu.Unlock()
+		_ = c.send(&Envelope{Type: TypeError, Error: fmt.Sprintf("agent %d already registered", dup)}, s.cfg.writeTimeout())
+		return
+	}
+	s.sessions = slices.Insert(s.sessions, at, sess)
+	s.walCapacity, s.walWindows = nil, nil
 	for i := 0; i < count; i++ {
 		id := hello.AgentID + i
-		s.agents[id] = &agentConn{id: id, sess: sess}
 		s.capacity[id] = hello.Capacity
 		if hello.Arrive != 0 || hello.Depart != 0 {
 			s.windows[id] = core.BidderWindow{Arrive: hello.Arrive, Depart: hello.Depart}
@@ -474,7 +504,9 @@ func (s *Server) ingestSubmit(sess *session, msg *BidSubmitMsg) {
 }
 
 // ingestBid applies one agent's submission directly into the open gather
-// window. Admission checks run first (token bucket, then the per-round
+// window. Only sessions the round's announce counted may bid into it: a
+// session that registered after the announce was welcomed into the next
+// round. Admission checks run first (token bucket, then the per-round
 // queue bound), then the mechanism-safety rules the serial engine
 // enforced in its gather loop: a stale round tag is discarded with the
 // agent kept pending, and only the first current-round submission counts
@@ -488,17 +520,22 @@ func (s *Server) ingestBid(sess *session, id, tag int, bids []WireBid, now time.
 	}
 	s.gmu.Lock()
 	g := s.gather
-	if g == nil || !g.open || sess.dead.Load() {
-		// No open round (or the session is already deregistered): the
-		// submission is necessarily stale. The serial engine drained these
-		// at announce time; direct ingest drops them on arrival.
+	if g == nil || !g.open || sess.pendingIn != g.t || sess.dead.Load() {
+		// No open round, a session the round did not count, or one already
+		// deregistered: the submission is necessarily stale. The serial
+		// engine drained these at announce time; direct ingest drops them
+		// on arrival.
 		s.gmu.Unlock()
 		return
 	}
 	t := g.t
+	slot := &sess.slots[id-sess.first]
 	if s.adm != nil && s.adm.cfg.QueueBound > 0 {
-		g.submits[id]++
-		if g.submits[id] > s.adm.cfg.QueueBound {
+		if slot.counted != t {
+			slot.counted, slot.submits = t, 0
+		}
+		slot.submits++
+		if slot.submits > s.adm.cfg.QueueBound {
 			s.gmu.Unlock()
 			s.reject(sess, &RejectMsg{T: tag, Agent: id, Code: RejectQueueFull})
 			return
@@ -510,23 +547,20 @@ func (s *Server) ingestBid(sess *session, id, tag int, bids []WireBid, now time.
 		s.gmu.Unlock()
 		return
 	}
-	if g.answered[id] {
+	if slot.answered == t {
 		// Resubmission for the current round: keep the first, and do not
 		// decrement pending again, or the round could clear while an honest
 		// agent is still pending.
 		s.gmu.Unlock()
 		return
 	}
-	g.answered[id] = true
+	slot.answered = t
 	for i := range bids {
 		wb := &bids[i]
 		g.buf.Add(id, wb.Alt, wb.Price, wb.Covers, wb.Units)
 	}
 	g.pending--
-	if g.pending <= 0 && !g.doneClosed {
-		close(g.done)
-		g.doneClosed = true
-	}
+	g.closeIfAnswered()
 	rtt := now.Sub(g.announcedAt)
 	if s.tracer != nil {
 		g.traced.Add(1)
@@ -558,41 +592,29 @@ func (s *Server) reject(sess *session, msg *RejectMsg) {
 	}
 }
 
-// dropAgent deregisters the session carrying agent id (dropping its
-// session-mates with it: connection-level failure is session-level).
-func (s *Server) dropAgent(id int, cause, detail string) {
-	s.mu.Lock()
-	a := s.agents[id]
-	s.mu.Unlock()
-	if a == nil {
-		return
-	}
-	s.dropSession(a.sess, cause, detail)
-}
-
-// dropSession deregisters every agent of a session and closes its
-// connection. It is idempotent: only the call that actually removes
-// agents emits AgentDrop events and bumps the drop counter, so the read
-// loop's follow-up (the closed connection makes its recv fail) stays
+// dropSession deregisters every agent of a session (connection-level
+// failure is session-level) and closes its connection. If the open round
+// counted the session, its unanswered agents stop being pending there, so
+// the round does not wait out the bid deadline for them. It is
+// idempotent: only the call that actually removes the session releases
+// its agents, emits AgentDrop events and bumps the drop counter, so the
+// read loop's follow-up (the closed connection makes its recv fail) stays
 // silent.
 func (s *Server) dropSession(sess *session, cause, detail string) {
 	sess.dead.Store(true)
-	var removed []int
 	s.mu.Lock()
-	for i := 0; i < sess.count; i++ {
-		id := sess.first + i
-		if a, ok := s.agents[id]; ok && a.sess == sess {
-			delete(s.agents, id)
-			removed = append(removed, id)
-		}
+	at, found := slices.BinarySearchFunc(s.sessions, sess.first, cmpFirst)
+	removed := found && s.sessions[at] == sess
+	if removed {
+		s.sessions = slices.Delete(s.sessions, at, at+1)
 	}
 	s.mu.Unlock()
-	if len(removed) == 0 {
+	if !removed {
 		return
 	}
 	_ = sess.c.close()
 	now := time.Now()
-	for _, id := range removed {
+	for id := sess.first; id < sess.first+sess.count; id++ {
 		s.mDrops.Inc()
 		if s.adm != nil {
 			s.adm.recordDrop(id, cause, now)
@@ -601,6 +623,19 @@ func (s *Server) dropSession(sess *session, cause, detail string) {
 			s.tracer.Emit(obs.AgentDrop{ID: id, Cause: cause, Detail: detail})
 		}
 	}
+	// Release last, so a round this drop closes is counted and traced
+	// after the drop itself.
+	s.gmu.Lock()
+	if g := s.gather; g != nil && g.open && sess.pendingIn == g.t {
+		for _, slot := range sess.slots {
+			if slot.answered != g.t {
+				g.pending--
+			}
+		}
+		g.closeIfAnswered()
+	}
+	sess.pendingIn = 0
+	s.gmu.Unlock()
 }
 
 // RoundOutcome is the platform-visible result of one cleared round.
@@ -695,47 +730,46 @@ func (s *Server) announceRound(ctx context.Context, demand []int, needyIDs []int
 			s.msoa = core.NewMSOA(cfg)
 		}
 	}
-	rs.agents = rs.agents[:0]
-	for _, a := range s.agents {
-		rs.agents = append(rs.agents, a)
-	}
+	rs.sessions = append(rs.sessions[:0], s.sessions...)
 	s.mu.Unlock()
-	rs.sorter.agents = rs.agents
-	sort.Sort(&rs.sorter)
 
 	rs.t = t
 	rs.demand = demand
 	rs.needyIDs = needyIDs
-	rs.droppedIDs = rs.droppedIDs[:0]
 
 	deadline := s.cfg.bidDeadline()
 	if s.tracer != nil {
-		total := 0
+		total, agents := 0, 0
 		for _, d := range demand {
 			total += d
 		}
+		for _, ss := range rs.sessions {
+			agents += ss.count
+		}
 		s.tracer.Emit(obs.RoundOpen{
 			Scope: obs.ScopePlatform, T: t, Needy: len(needyIDs),
-			TotalDemand: total, Agents: len(rs.agents),
+			TotalDemand: total, Agents: agents,
 		})
 	}
 
 	// Open the gather window BEFORE announcing: with direct ingest there
 	// is no per-agent buffer, so a fast agent's bid must find the window
-	// open the moment it lands.
+	// open the moment it lands. Only the snapshot's live sessions count;
+	// one dropped from here on releases its own agents (dropSession).
 	s.gmu.Lock()
 	rs.buf.Reset(demand)
-	clear(rs.answered)
-	clear(rs.submits)
-	rs.pending = len(rs.agents)
+	rs.pending = 0
+	for _, ss := range rs.sessions {
+		if !ss.dead.Load() {
+			ss.pendingIn = t
+			rs.pending += ss.count
+		}
+	}
 	rs.open = true
 	rs.doneClosed = false
 	rs.done = make(chan struct{})
 	rs.announcedAt = time.Now()
-	if rs.pending == 0 {
-		close(rs.done)
-		rs.doneClosed = true
-	}
+	rs.closeIfAnswered()
 	s.gather = rs
 	s.gmu.Unlock()
 
@@ -747,50 +781,7 @@ func (s *Server) announceRound(ctx context.Context, demand []int, needyIDs []int
 		return nil, err
 	}
 
-	// Fault phase: consult the injection hook per agent, serially, before
-	// any real send, so the injected drop set and its event order are
-	// deterministic regardless of fan-out scheduling.
-	if f := s.cfg.Fault.SendFault; f != nil {
-		for _, a := range rs.agents {
-			if err := f(t, a.id, TypeAnnounce); err != nil {
-				s.logger.Printf("announce to agent %d: %v", a.id, err)
-				// A write failure here means the agent cannot hear the round;
-				// it would only pin the gather phase at the full deadline, so
-				// deregister it now rather than wait for its read loop to fail.
-				s.dropAgent(a.id, obs.DropWriteTimeout, err.Error())
-			}
-		}
-		s.filterLive(rs)
-	}
-
-	rs.sessions = rs.sessions[:0]
-	for _, a := range rs.agents {
-		if a.id == a.sess.first {
-			rs.sessions = append(rs.sessions, a.sess)
-		}
-	}
-	for i, err := range s.broadcastRaw(rs, TypeAnnounce, announce) {
-		if err != nil {
-			ss := rs.sessions[i]
-			s.logger.Printf("announce to agent %d: %v", ss.first, err)
-			s.dropSession(ss, obs.DropWriteTimeout, err.Error())
-		}
-	}
-	s.filterLive(rs)
-
-	// Agents dropped at announce never heard the round; take them out of
-	// the pending count (unless a racing in-flight bid already did).
-	s.gmu.Lock()
-	for _, id := range rs.droppedIDs {
-		if !rs.answered[id] {
-			rs.pending--
-		}
-	}
-	if rs.pending <= 0 && !rs.doneClosed {
-		close(rs.done)
-		rs.doneClosed = true
-	}
-	s.gmu.Unlock()
+	s.fanOut(rs, TypeAnnounce, announce)
 
 	// Scripted crash: the process dies while bids are in flight. Nothing
 	// reached the WAL for this round, so recovery re-runs round t whole.
@@ -858,28 +849,63 @@ func (s *Server) awaitGather(ctx context.Context, rs *roundState) error {
 	return nil
 }
 
-// filterLive compacts rs.agents down to agents whose session is still
-// registered, recording the removed ids for the pending adjustment.
-func (s *Server) filterLive(rs *roundState) {
-	live := rs.agents[:0]
-	for _, a := range rs.agents {
-		if a.sess.dead.Load() {
-			rs.droppedIDs = append(rs.droppedIDs, a.id)
-			continue
+// fanOut sends one pre-encoded message to the round's live sessions and
+// leaves rs.sessions compacted to the ones still registered. A session
+// whose send fails is dropped at once: a peer that cannot take a message
+// within the write timeout (stalled reader, dead connection) would stall
+// every later fan-out, and one that cannot hear the announce would only
+// pin the gather phase at the full deadline. The SendFault hook, when
+// set, is consulted first for every agent, serially and in id order
+// before any real send, so the injected drop set and its event order are
+// deterministic regardless of fan-out scheduling.
+func (s *Server) fanOut(rs *roundState, msgType string, data []byte) {
+	if f := s.cfg.Fault.SendFault; f != nil {
+		for _, ss := range rs.sessions {
+			for id := ss.first; id < ss.first+ss.count; id++ {
+				if err := f(rs.t, id, msgType); err != nil {
+					s.logger.Printf("%s to agent %d: %v", msgType, id, err)
+					s.dropSession(ss, obs.DropWriteTimeout, err.Error())
+				}
+			}
 		}
-		live = append(live, a)
 	}
-	rs.agents = live
+	rs.sessions = liveSessions(rs.sessions)
+	for i, err := range s.broadcastRaw(rs, msgType, data) {
+		if err != nil {
+			ss := rs.sessions[i]
+			s.logger.Printf("%s to agent %d: %v", msgType, ss.first, err)
+			s.dropSession(ss, obs.DropWriteTimeout, err.Error())
+		}
+	}
+	rs.sessions = liveSessions(rs.sessions)
 }
 
-// unanswered snapshots the announced agents that have not answered, in
-// id order, into the round's scratch slice.
+// liveSessions compacts sessions in place down to those still registered.
+func liveSessions(sessions []*session) []*session {
+	live := sessions[:0]
+	for _, ss := range sessions {
+		if !ss.dead.Load() {
+			live = append(live, ss)
+		}
+	}
+	clear(sessions[len(live):])
+	return live
+}
+
+// unanswered snapshots the agents still pending in the round — counted at
+// announce, not answered, not released by a drop — in id order, into the
+// round's scratch slice.
 func (s *Server) unanswered(rs *roundState) []int {
 	rs.scratch = rs.scratch[:0]
 	s.gmu.Lock()
-	for _, a := range rs.agents {
-		if !rs.answered[a.id] {
-			rs.scratch = append(rs.scratch, a.id)
+	for _, ss := range rs.sessions {
+		if ss.pendingIn != rs.t {
+			continue
+		}
+		for i, slot := range ss.slots {
+			if slot.answered != rs.t {
+				rs.scratch = append(rs.scratch, ss.first+i)
+			}
 		}
 	}
 	s.gmu.Unlock()
@@ -1002,8 +1028,11 @@ func (s *Server) settleRound(rs *roundState) (*RoundOutcome, error) {
 	// outside world already acted on.
 	if s.cfg.WAL != nil {
 		s.mu.Lock()
-		rec.Capacity = copyIntMap(s.auction.Capacity)
-		rec.Windows = copyWindowMap(s.auction.Windows)
+		if s.walCapacity == nil {
+			s.walCapacity = copyIntMap(s.auction.Capacity)
+			s.walWindows = copyWindowMap(s.auction.Windows)
+		}
+		rec.Capacity, rec.Windows = s.walCapacity, s.walWindows
 		s.mu.Unlock()
 		rec.StateHash = s.msoa.Snapshot().Hash()
 		if err := s.cfg.WAL.Append(rec); err != nil {
@@ -1021,31 +1050,7 @@ func (s *Server) settleRound(rs *roundState) (*RoundOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	if f := s.cfg.Fault.SendFault; f != nil {
-		for _, a := range rs.agents {
-			if err := f(t, a.id, TypeResult); err != nil {
-				s.logger.Printf("result to agent %d: %v", a.id, err)
-				s.dropAgent(a.id, obs.DropWriteTimeout, err.Error())
-			}
-		}
-	}
-	s.filterLive(rs)
-	rs.sessions = rs.sessions[:0]
-	for _, a := range rs.agents {
-		if a.id == a.sess.first {
-			rs.sessions = append(rs.sessions, a.sess)
-		}
-	}
-	for i, err := range s.broadcastRaw(rs, TypeResult, data) {
-		if err != nil {
-			ss := rs.sessions[i]
-			s.logger.Printf("result to agent %d: %v", ss.first, err)
-			// A peer that cannot take the result within the write timeout
-			// (stalled reader, dead connection) would stall every future
-			// broadcast too; deregister it.
-			s.dropSession(ss, obs.DropWriteTimeout, err.Error())
-		}
-	}
+	s.fanOut(rs, TypeResult, data)
 
 	// Scripted crash: bidders saw their awards; only in-memory state dies.
 	// The write-ahead append above already made this round durable.
@@ -1130,14 +1135,7 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
-	sessions := make([]*session, 0, len(s.agents))
-	seen := make(map[*session]bool, len(s.agents))
-	for _, a := range s.agents {
-		if !seen[a.sess] {
-			seen[a.sess] = true
-			sessions = append(sessions, a.sess)
-		}
-	}
+	sessions := slices.Clone(s.sessions)
 	s.mu.Unlock()
 
 	s.cancel()

@@ -3,10 +3,12 @@ package platform
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"edgeauction/internal/core"
 	"edgeauction/internal/obs"
@@ -226,5 +228,58 @@ func TestRecoverHashMismatch(t *testing.T) {
 	}
 	if _, err := Recover(path, "", core.MSOAConfig{Options: core.Options{Parallelism: 1}}); err == nil {
 		t.Fatalf("Recover accepted a WAL with a lying state hash")
+	}
+}
+
+// TestWALRecordsFollowRegistration registers an agent between two
+// WAL-backed rounds: the second record carries both agents' capacities,
+// and the first, already handed to the audit sink, still shows only the
+// first agent's.
+func TestWALRecordsFollowRegistration(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "reg.wal")
+	w, err := CreateWAL(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []*AuditRecord
+	srv := startServer(t, ServerConfig{
+		BidDeadline: 5 * time.Second,
+		WAL:         w,
+		Audit:       NewAuditSink(func(rec *AuditRecord) error { recs = append(recs, rec); return nil }),
+	})
+	dialAgent(t, srv.Addr(), AgentConfig{ID: 1, Capacity: 5, Policy: coveringPolicy(10, 2)})
+	waitCond(t, "agent 1 registered", func() bool { return srv.AgentCount() == 1 })
+	if _, err := srv.RunRound([]int{2}, nil); err != nil {
+		t.Fatal(err)
+	}
+	dialAgent(t, srv.Addr(), AgentConfig{ID: 2, Capacity: 7, Policy: coveringPolicy(12, 2)})
+	waitCond(t, "agent 2 registered", func() bool { return srv.AgentCount() == 2 })
+	if _, err := srv.RunRound([]int{2}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	logged, err := ReadAudit(f)
+	if err != nil {
+		t.Fatalf("ReadAudit: %v", err)
+	}
+	want := []string{"map[1:5]", "map[1:5 2:7]"}
+	if len(logged) != 2 || len(recs) != 2 {
+		t.Fatalf("got %d logged and %d sunk records, want 2 each", len(logged), len(recs))
+	}
+	for i := range want {
+		if got := fmt.Sprint(logged[i].Capacity); got != want[i] {
+			t.Errorf("logged record %d capacity %s, want %s", i, got, want[i])
+		}
+		if got := fmt.Sprint(recs[i].Capacity); got != want[i] {
+			t.Errorf("sunk record %d capacity %s, want %s", i, got, want[i])
+		}
 	}
 }

@@ -80,6 +80,8 @@ fuzz:
 		./internal/platform
 	$(GO) test -run '^$$' -fuzz '^FuzzRecvInto$$' -fuzztime $(FUZZTIME) \
 		./internal/platform
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadLatestSnapshot$$' -fuzztime $(FUZZTIME) \
+		./internal/platform
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime $(FUZZTIME) \
 		./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzReadInstance$$' -fuzztime $(FUZZTIME) \

@@ -6,12 +6,18 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
+
+	"edgeauction/internal/core"
 )
 
 // FuzzReadAudit hardens the audit-log parser against corrupted or
 // adversarial files: arbitrary bytes must parse cleanly or fail cleanly.
+// Every record it parses must encode through the record encoder to
+// json.Marshal's bytes plus the newline.
 func FuzzReadAudit(f *testing.F) {
 	var buf bytes.Buffer
 	a := NewAudit(&buf)
@@ -23,21 +29,27 @@ func FuzzReadAudit(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
+	f.Add([]byte(`{"kind":"edgeauction-audit","t":2,"unix_ms":2,"demand":[1,0],"needy_ids":[4,9],"bids":[],` +
+		`"social_cost":1e-7,"capacity":{"10":1,"9":0,"-1":2},"windows":{"3":{"Arrive":1,"Depart":2}},"state_hash":"a\u003cb"}` + "\n"))
 	f.Add([]byte(""))
 	f.Add([]byte("{\n"))
 	f.Add([]byte(`{"kind":"edgeauction-audit","t":-1}` + "\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		records, err := ReadAudit(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
+		// On an error the records are the readable prefix, all complete.
+		records, _ := ReadAudit(bytes.NewReader(data))
+		var e recordEncoder
 		for i, rec := range records {
 			if rec == nil {
-				t.Fatalf("record %d is nil without error", i)
+				t.Fatalf("record %d is nil", i)
 			}
 			if rec.Kind != "edgeauction-audit" {
 				t.Fatalf("record %d has wrong kind %q", i, rec.Kind)
+			}
+			want, merr := json.Marshal(rec)
+			got, eerr := e.encode(rec)
+			if merr != nil || eerr != nil || !bytes.Equal(got, append(want, '\n')) {
+				t.Fatalf("record %d: encoded %q (err %v), json.Marshal %q (err %v)", i, got, eerr, want, merr)
 			}
 		}
 	})
@@ -152,4 +164,64 @@ func sameEnvelope(a, b *Envelope) bool {
 	x, y := *a, *b
 	x.Bid, y.Bid = nil, nil
 	return reflect.DeepEqual(x, y) && fmt.Sprintf("%+v", a.Bid) == fmt.Sprintf("%+v", b.Bid)
+}
+
+// FuzzLoadLatestSnapshot writes arbitrary bytes as the newest snapshot
+// file beside an older valid one. The loader must never panic, and never
+// fail on a file's content: it returns the fuzzed snapshot only when it
+// decodes with the snapshot kind, a state and a self-hash that holds, and
+// the older one otherwise.
+func FuzzLoadLatestSnapshot(f *testing.F) {
+	m := core.NewMSOA(core.MSOAConfig{Capacity: map[int]int{1: 4}, Options: core.Options{Parallelism: 1}})
+	ins := &core.Instance{Demand: []int{1}, Bids: []core.Bid{
+		{Bidder: 1, Alt: 1, Price: 10, TrueCost: 10, Covers: []int{0}, Units: 1},
+		{Bidder: 2, Alt: 1, Price: 12, TrueCost: 12, Covers: []int{0}, Units: 1},
+	}}
+	snapshotBytes := func(round int) []byte {
+		if res := m.RunRound(core.Round{T: round, Instance: ins}); res.Err != nil {
+			f.Fatal(res.Err)
+		}
+		path, err := WriteSnapshot(f.TempDir(), round, m.Snapshot())
+		if err != nil {
+			f.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data
+	}
+	older, newer := snapshotBytes(1), snapshotBytes(2)
+	var old SnapshotFile
+	if err := json.Unmarshal(older, &old); err != nil {
+		f.Fatal(err)
+	}
+
+	f.Add(newer)
+	f.Add(newer[:len(newer)/2])
+	f.Add(bytes.Replace(newer, []byte(SnapshotKind), []byte("edgeauction-audit"), 1))
+	f.Add([]byte(`{"kind":"edgeauction-snapshot","round":2,"state":null,"hash":""}`))
+
+	// Inputs run one at a time in each process, so they share the files.
+	dir := f.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "snapshot-00000001.json"), older, 0o644); err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(filepath.Join(dir, "snapshot-00000002.json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := LoadLatestSnapshot(dir)
+		if err != nil {
+			t.Fatalf("LoadLatestSnapshot: %v", err)
+		}
+		want := &old
+		var fuzzed SnapshotFile
+		if json.Unmarshal(data, &fuzzed) == nil && fuzzed.Kind == SnapshotKind && fuzzed.State != nil && fuzzed.Hash == fuzzed.State.Hash() {
+			want = &fuzzed
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("loaded %+v, want %+v", got, want)
+		}
+	})
 }

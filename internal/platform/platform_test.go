@@ -706,3 +706,39 @@ func TestPlatformCloseRacesRunRound(t *testing.T) {
 		}
 	}
 }
+
+// TestHelloDuringSettleDoesNotRace registers raw peers while rounds run.
+// Settle runs the MSOA without the registry lock, so the capacity map it
+// reads must never be the one a hello writes; -race reports the shared
+// map.
+func TestHelloDuringSettleDoesNotRace(t *testing.T) {
+	srv := startServer(t, ServerConfig{BidDeadline: 10 * time.Millisecond})
+	dialAgent(t, srv.Addr(), AgentConfig{ID: 1, Policy: coveringPolicy(10, 2)})
+	waitCond(t, "agent 1 registered", func() bool { return srv.AgentCount() == 1 })
+
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 200; i++ {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			if _, err := srv.RunRound([]int{1}, nil); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for id := 100; id < 400; id++ {
+		p := dialRaw(t, srv.Addr(), id, 5)
+		t.Cleanup(func() { _ = p.conn.Close() })
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"maps"
 	"math"
 	"net"
 	"slices"
@@ -134,13 +135,20 @@ type Server struct {
 	closed   bool
 	msoa     *core.MSOA
 	auction  core.MSOAConfig // effective config after lazy-init merges
+	// capacity and windows are the registration: hellos write them.
 	capacity map[int]int
 	windows  map[int]core.BidderWindow
-	// walCapacity and walWindows are the copies of auction.Capacity and
-	// auction.Windows that WAL records carry. Records share them until a
-	// hello changes the registration and clears them.
-	walCapacity map[int]int
-	walWindows  map[int]core.BidderWindow
+	// regCapacity and regWindows are the copies of the maps rounds settle
+	// under (a caller's Auction maps where it supplied them), taken at the
+	// first settle after a hello cleared them. WAL records share them, so
+	// they are never written.
+	regCapacity map[int]int
+	regWindows  map[int]core.BidderWindow
+	// roundCapacity and roundWindows back the MSOA where the caller
+	// supplied no maps. Only settles write them, refilling them from the
+	// copies, so the MSOA never reads a map a hello writes.
+	roundCapacity map[int]int
+	roundWindows  map[int]core.BidderWindow
 
 	// gmu guards the gather window: the open round's state, the
 	// round-state free list and each session's gather fields. Connection
@@ -278,14 +286,16 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:      cfg,
-		listener: ln,
-		logger:   logger,
-		tracer:   cfg.Tracer,
-		metrics:  obs.NewRegistry(),
-		capacity: make(map[int]int),
-		windows:  make(map[int]core.BidderWindow),
-		cancel:   cancel,
+		cfg:           cfg,
+		listener:      ln,
+		logger:        logger,
+		tracer:        cfg.Tracer,
+		metrics:       obs.NewRegistry(),
+		capacity:      make(map[int]int),
+		windows:       make(map[int]core.BidderWindow),
+		roundCapacity: make(map[int]int),
+		roundWindows:  make(map[int]core.BidderWindow),
+		cancel:        cancel,
 	}
 	if cfg.Admission.enabled() {
 		s.adm = newAdmissionState(cfg.Admission)
@@ -429,7 +439,7 @@ func (s *Server) handle(ctx context.Context, c *conn) {
 		return
 	}
 	s.sessions = slices.Insert(s.sessions, at, sess)
-	s.walCapacity, s.walWindows = nil, nil
+	s.regCapacity, s.regWindows = nil, nil
 	for i := 0; i < count; i++ {
 		id := hello.AgentID + i
 		s.capacity[id] = hello.Capacity
@@ -715,10 +725,10 @@ func (s *Server) announceRound(ctx context.Context, demand []int, needyIDs []int
 	if s.msoa == nil {
 		cfg := s.cfg.Auction
 		if cfg.Capacity == nil {
-			cfg.Capacity = s.capacity
+			cfg.Capacity = s.roundCapacity
 		}
 		if cfg.Windows == nil {
-			cfg.Windows = s.windows
+			cfg.Windows = s.roundWindows
 		}
 		if cfg.Options.Tracer == nil {
 			cfg.Options.Tracer = s.tracer
@@ -979,6 +989,7 @@ func (s *Server) settleRound(rs *roundState) (*RoundOutcome, error) {
 	t := rs.t
 	settleStart := time.Now()
 
+	capacity, windows := s.registration()
 	res := s.msoa.RunRound(core.Round{T: t, Instance: rs.ins})
 	outcome := &RoundOutcome{T: t, Bids: len(rs.ins.Bids)}
 	result := &ResultMsg{T: t}
@@ -1000,11 +1011,12 @@ func (s *Server) settleRound(rs *roundState) (*RoundOutcome, error) {
 		}
 	}
 
-	// Build the round record once; the WAL and the audit sink share it
-	// (when the WAL stamps the logical timestamp and state hash first, the
-	// audit line inherits them, keeping the two logs consistent). Cover
-	// slices are deep-copied out of the pooled ingest arena because audit
-	// consumers may retain the record past this round.
+	// Build the round record once; the WAL and the audit share it (when
+	// the WAL stamps the logical timestamp and state hash first, the audit
+	// line inherits them, keeping the two logs consistent). Cover slices
+	// alias the pooled ingest arena, which outlives the WAL's and an audit
+	// writer's encode; they are copied only for an audit sink, which may
+	// keep the record past this round.
 	var rec *AuditRecord
 	if s.cfg.WAL != nil || s.cfg.Audit != nil {
 		rec = &AuditRecord{
@@ -1015,11 +1027,16 @@ func (s *Server) settleRound(rs *roundState) (*RoundOutcome, error) {
 			SocialCost: outcome.SocialCost,
 			Infeasible: outcome.Infeasible,
 		}
-		for _, b := range rs.ins.Bids {
-			rec.Bids = append(rec.Bids, AuditBid{
-				Bidder: b.Bidder, Alt: b.Alt, Price: b.Price,
-				Covers: append([]int(nil), b.Covers...), Units: b.Units,
-			})
+		// A zero-bid round keeps nil Bids, which logs "bids":null.
+		if len(rs.ins.Bids) > 0 {
+			rec.Bids = make([]AuditBid, len(rs.ins.Bids))
+		}
+		keep := s.cfg.Audit != nil && s.cfg.Audit.sink != nil
+		for i, b := range rs.ins.Bids {
+			if keep {
+				b.Covers = append([]int(nil), b.Covers...)
+			}
+			rec.Bids[i] = AuditBid{Bidder: b.Bidder, Alt: b.Alt, Price: b.Price, Covers: b.Covers, Units: b.Units}
 		}
 	}
 
@@ -1027,13 +1044,7 @@ func (s *Server) settleRound(rs *roundState) (*RoundOutcome, error) {
 	// award, or a crash between announce and append would lose a round the
 	// outside world already acted on.
 	if s.cfg.WAL != nil {
-		s.mu.Lock()
-		if s.walCapacity == nil {
-			s.walCapacity = copyIntMap(s.auction.Capacity)
-			s.walWindows = copyWindowMap(s.auction.Windows)
-		}
-		rec.Capacity, rec.Windows = s.walCapacity, s.walWindows
-		s.mu.Unlock()
+		rec.Capacity, rec.Windows = capacity, windows
 		rec.StateHash = s.msoa.Snapshot().Hash()
 		if err := s.cfg.WAL.Append(rec); err != nil {
 			return nil, err
@@ -1080,6 +1091,33 @@ func (s *Server) settleRound(rs *roundState) (*RoundOutcome, error) {
 		}
 	}
 	return outcome, nil
+}
+
+// registration returns the capacity and window maps a round settles
+// under. The first settle after a hello copies them under the registry
+// lock; later settles share the copies. Where the MSOA runs on the
+// server's own maps, they are refilled from the copies here: settles are
+// serial, so nothing writes those maps while the MSOA reads them.
+func (s *Server) registration() (map[int]int, map[int]core.BidderWindow) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.regCapacity == nil {
+		s.regCapacity = copyRegistration(s.cfg.Auction.Capacity, s.capacity, s.roundCapacity)
+		s.regWindows = copyRegistration(s.cfg.Auction.Windows, s.windows, s.roundWindows)
+	}
+	return s.regCapacity, s.regWindows
+}
+
+// copyRegistration copies the caller's map where it supplied one, and
+// otherwise the registered one, refilling the MSOA's map from the copy.
+func copyRegistration[V any](caller, registered, msoa map[int]V) map[int]V {
+	if caller != nil {
+		return maps.Clone(caller)
+	}
+	c := maps.Clone(registered)
+	clear(msoa)
+	maps.Copy(msoa, c)
+	return c
 }
 
 // crashPoint consults the crash-injection hook at one scripted site. A

@@ -53,10 +53,12 @@ func LogicalClock(t int) int64 { return int64(t) }
 // post-round state hash, which makes Recover's suffix replay exact.
 // Append is serialized and safe for concurrent use.
 type WAL struct {
-	mu    sync.Mutex
-	f     *os.File
+	mu sync.Mutex
+	f  *os.File
+	// w's sticky error keeps a record from following a torn one: after a
+	// failed write, every later Append fails too.
 	w     *bufio.Writer
-	enc   *json.Encoder
+	enc   recordEncoder
 	fsync bool
 	path  string
 }
@@ -70,8 +72,7 @@ func CreateWAL(path string, fsync bool) (*WAL, error) {
 	if err != nil {
 		return nil, fmt.Errorf("platform: open WAL %s: %w", path, err)
 	}
-	w := bufio.NewWriter(f)
-	return &WAL{f: f, w: w, enc: json.NewEncoder(w), fsync: fsync, path: path}, nil
+	return &WAL{f: f, w: bufio.NewWriter(f), fsync: fsync, path: path}, nil
 }
 
 // Path returns the log's file path.
@@ -89,8 +90,12 @@ func (l *WAL) Append(rec *AuditRecord) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.enc.Encode(rec); err != nil {
+	line, err := l.enc.encode(rec)
+	if err != nil {
 		return fmt.Errorf("platform: encode WAL record %d: %w", rec.T, err)
+	}
+	if _, err := l.w.Write(line); err != nil {
+		return fmt.Errorf("platform: write WAL record %d: %w", rec.T, err)
 	}
 	if err := l.w.Flush(); err != nil {
 		return fmt.Errorf("platform: flush WAL: %w", err)

@@ -76,6 +76,8 @@ FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSSAMDifferential$$' -fuzztime $(FUZZTIME) \
 		./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzParseMechanismSpec$$' -fuzztime $(FUZZTIME) \
+		./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzReadAudit$$' -fuzztime $(FUZZTIME) \
 		./internal/platform
 	$(GO) test -run '^$$' -fuzz '^FuzzRecvInto$$' -fuzztime $(FUZZTIME) \

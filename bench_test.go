@@ -577,8 +577,8 @@ func runCoreBenchGroup(b *testing.B, prefix string) {
 // BenchmarkSSAMSelect measures pure greedy winner selection (payments
 // trivialized to first-price) at several instance shapes. Before timing, it
 // asserts the selection path has zero steady-state allocations: the pooled
-// kernel (CSR view, lazy-rescore heap, epoch arrays, candidate list) must
-// not allocate per iteration or per instance size — only the O(1) result
+// kernel (CSR view, lazy-rescore heap, bidder-group bans) must not
+// allocate per iteration or per instance size — only the O(1) result
 // assembly (scaled slice, Outcome, winner copy, payments map) may, and that
 // is bounded by the same ≤16 constant the payment path asserts.
 func BenchmarkSSAMSelect(b *testing.B) {

@@ -70,8 +70,8 @@ func BudgetedSSAM(ins *Instance, budget float64, opts Options) (*BudgetedOutcome
 	rs := replayScratchPool.Get().(*replayScratch)
 	defer replayScratchPool.Put(rs)
 
-	for kn.deficit > 0 {
-		best, score, marginal := kn.popBest()
+	for kn.main.deficit > 0 {
+		best, score, marginal := kn.main.popBest(kn)
 		if best < 0 {
 			break // market exhausted; remaining demand stays uncovered
 		}
@@ -88,7 +88,7 @@ func BudgetedSSAM(ins *Instance, budget float64, opts Options) (*BudgetedOutcome
 		if out.BudgetSpent+pay > budget {
 			// Cannot afford this winner: reject the bidder entirely.
 			out.RejectedByBudget = append(out.RejectedByBudget, int(best))
-			kn.removeGroupIn(&kn.cand, kn.groupOf[best])
+			kn.main.banned[kn.groupOf[best]] = true
 			continue
 		}
 
@@ -99,8 +99,7 @@ func BudgetedSSAM(ins *Instance, budget float64, opts Options) (*BudgetedOutcome
 				Score: score, Marginal: marginal, ScaledPrice: scaled[best],
 			})
 		}
-		kn.removeGroupIn(&kn.cand, kn.groupOf[best])
-		kn.applyDirty(best)
+		kn.main.commit(kn, best, nil)
 		out.Winners = append(out.Winners, int(best))
 		out.Payments[int(best)] = pay
 		out.BudgetSpent += pay
@@ -108,7 +107,7 @@ func BudgetedSSAM(ins *Instance, budget float64, opts Options) (*BudgetedOutcome
 		out.ScaledCost += winner.Price
 	}
 
-	out.UncoveredDemand = kn.deficit
+	out.UncoveredDemand = kn.main.deficit
 	return out, nil
 }
 

@@ -16,8 +16,8 @@ func dualString(d *DualCertificate) string {
 }
 
 // This file is the standing differential gate between the optimized kernel
-// (kernel.go: CSR covers, compact swap-delete candidates, checkpointed
-// payment replays) and the straightforward seed implementation preserved in
+// (kernel.go: CSR covers, lazy-rescore heaps, checkpointed payment
+// replays) and the straightforward seed implementation preserved in
 // reference_test.go. Every comparison is EXACT — Outcome.Equal applies no
 // epsilon — because the kernel's optimizations are designed to preserve the
 // float64 operation sequence bit for bit.

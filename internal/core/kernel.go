@@ -22,18 +22,20 @@ import (
 //     loop is branch-light and cache-contiguous instead of chasing
 //     per-bid slices.
 //
-//  2. Compact candidate list. Marginal coverage is monotone non-increasing
-//     (θ only grows), so a bid whose marginal hits 0 is dead FOREVER; it is
-//     dropped via swap-delete and never revisited, instead of re-walking a
-//     full []bool mask every iteration.
+//  2. Dead bids and removed bidders leave for good. Marginal coverage is
+//     monotone non-increasing (θ only grows), so a bid whose marginal hits
+//     0 is dead FOREVER; it is dropped when it surfaces and never
+//     revisited. Removing a bidder is one flag per bidder group, read only
+//     when one of the group's bids surfaces.
 //
 //  2b. Lazy-rescore priority selection (lazyheap.go). Every greedy
 //     selection loop — main run, budgeted run, and each counterfactual
 //     replay — draws its arg-min from a binary min-heap over
-//     (score, bid index) with epoch-tracked lazy rescoring and batch
-//     dirtying over the inverse cover incidence, instead of a full
-//     candidate scan per iteration. Exact by the monotone-marginal lower
-//     bound argument written up in DESIGN.md §11.
+//     (score, bid index) whose cached keys are lower bounds on the true
+//     scores, instead of a full candidate scan per iteration. popBest
+//     rechecks only the surfacing root's marginal, so committing a winner
+//     invalidates nothing. Exact by the monotone-marginal lower bound
+//     argument written up in DESIGN.md §11.
 //
 //  3. Checkpointed counterfactual payment replays. The critical-value
 //     replay that excludes winner w's bidder is provably identical to the
@@ -42,11 +44,14 @@ import (
 //     bid would have been selected, and under lowest-index tie-breaking an
 //     equal-score bid of w's bidder with a lower index would also have been
 //     selected, so removing the bidder changes neither the selections nor
-//     the scores. The main run snapshots (θ, deficit, compact candidate
-//     list, selected score) at every winning iteration; each winner's
-//     replay then reduces to a cheap prefix max over stored scores
-//     (O(s·|Covers_w|), no candidate scans) plus a live replay of only the
-//     SUFFIX from its own checkpoint. The per-iteration max is
+//     the scores. The main run records (θ, selected score) at every
+//     winning iteration; each winner's replay then reduces to a cheap
+//     prefix max over stored scores (O(s·|Covers_w|), no candidate scans)
+//     plus a live replay of only the SUFFIX from its own checkpoint. The
+//     suffix starts from a copy of the main run's state at s — θ, deficit,
+//     bans and heap — which each payment worker's follower re-derives by
+//     re-running the main selection once, in ascending s, instead of
+//     re-seeding a heap per winner. The per-iteration max is
 //     order-independent, so prefix-max + suffix-max equals the full
 //     replay's max bit for bit. Pivotal winners (counterfactual arg-min
 //     exhausted) can only surface in the suffix — the prefix replays
@@ -65,44 +70,6 @@ import (
 // implicitly, and the differential fuzz gate holds every path to it.
 func betterScore(s1 float64, b1 int32, s2 float64, b2 int32) bool {
 	return s1 < s2 || (s1 == s2 && b1 < b2)
-}
-
-// candSet is a compact candidate list with O(1) swap-delete membership:
-// list holds the live bid indices in arbitrary order, pos maps a bid index
-// to its position in list (-1 once removed). Scans must apply an explicit
-// lowest-bid-index tie-break, because swap-deletes permute list order.
-type candSet struct {
-	list []int32
-	pos  []int32
-}
-
-func (cs *candSet) reset(nb int) {
-	if cap(cs.list) < nb {
-		cs.list = make([]int32, nb)
-		cs.pos = make([]int32, nb)
-	}
-	cs.list = cs.list[:nb]
-	cs.pos = cs.pos[:nb]
-	for i := range cs.list {
-		cs.list[i] = int32(i)
-		cs.pos[i] = int32(i)
-	}
-}
-
-func (cs *candSet) removeAt(i int) {
-	b := cs.list[i]
-	last := len(cs.list) - 1
-	moved := cs.list[last]
-	cs.list[i] = moved
-	cs.pos[moved] = int32(i)
-	cs.list = cs.list[:last]
-	cs.pos[b] = -1 // after pos[moved]: correct even when b == moved
-}
-
-func (cs *candSet) remove(b int32) {
-	if p := cs.pos[b]; p >= 0 {
-		cs.removeAt(int(p))
-	}
 }
 
 // kernel is the flat view of one ssamScaled (or BudgetedSSAM) run plus all
@@ -126,45 +93,29 @@ type kernel struct {
 	// groupBids is the bid index permutation sorted by (Bidder, index), so
 	// group g — the g-th smallest bidder id — owns
 	// groupBids[groupStart[g]:groupStart[g+1]] in ascending bid order, and
-	// groupOf maps a bid back to its group. The certificate reads the same
-	// groups for Ξ and the bidder slack z.
+	// groupOf maps a bid back to its group, whose one ban flag removes all
+	// of its bids. The certificate reads the same groups for Ξ and the
+	// bidder slack z.
 	groupOf    []int32
 	groupStart []int32
 	groupBids  []int32
 
-	// Inverse cover incidence (CSR): the bids covering needy k are
-	// incBid[incStart[k]:incStart[k+1]]. The batch dirtying pass walks one
-	// row per needy whose θ changed, bumping the covering bids' epochs;
-	// cursor is build's counting-sort scratch.
-	incStart []int32
-	incBid   []int32
-	cursor   []int32
-
-	// Main-run lazy-rescore priority structure over (score, bid index);
-	// see lazyheap.go for the staleness/exactness invariants. Each payment
-	// replay seeds its own lazyHeap in its replayScratch from the same
-	// immutable flat view.
-	lh lazyHeap
-
-	// Main-run mutable state.
-	theta       []int32 // θ_k, capped at demand[k]
-	deficit     int
+	// The truthful (or budgeted) run's mutable state: θ, deficit, bidder
+	// group bans and the lazy-rescore heap (lazyheap.go).
+	main        greedyState
 	totalDemand int
-	cand        candSet
 	winners     []int
 
-	// Per-winning-iteration checkpoints (CriticalValue payments only):
-	// state BEFORE the iteration's winner was applied or its bidder
-	// removed. ckTheta is iterations × nk flattened; ckCand holds the
-	// concatenated candidate lists with ckCandStart offsets (one more
-	// entry than iterations); ckScore is the iteration's selected score.
-	ckTheta     []int32
-	ckDeficit   []int
-	ckScore     []float64
-	ckCand      []int32
-	ckCandStart []int
+	// Per-winning-iteration checkpoints (CriticalValue payments only): θ
+	// BEFORE the iteration's winner was applied, iterations × nk
+	// flattened, and the iteration's selected score. Replays take the rest
+	// of the state at a checkpoint from their follower (replayScratch).
+	ckTheta []int32
+	ckScore []float64
 
-	gains []int // certificate per-winner gains scratch (aligned with Covers)
+	// gains is the certificate's per-winner gains scratch (aligned with
+	// Covers); SkipCertificate runs never size it.
+	gains []int
 
 	// tracer is Options.Tracer for the duration of one run (nil when
 	// tracing is disabled); cleared on release so a pooled kernel never
@@ -174,16 +125,9 @@ type kernel struct {
 
 var kernelPool = sync.Pool{New: func() any { return new(kernel) }}
 
-func resizeInt32(s []int32, n int) []int32 {
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func resizeFloat64(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
@@ -196,7 +140,7 @@ func (kn *kernel) build(ins *Instance, scaled []float64, opts Options) error {
 	kn.metric = opts.metric()
 	kn.tracer = opts.Tracer
 
-	kn.demand = resizeInt32(kn.demand, nk)
+	kn.demand = resize(kn.demand, nk)
 	kn.totalDemand = 0
 	for k, d := range ins.Demand {
 		if d > math.MaxInt32 {
@@ -212,19 +156,14 @@ func (kn *kernel) build(ins *Instance, scaled []float64, opts Options) error {
 		}
 		kn.demand[k] = int32(d)
 	}
-	kn.deficit = kn.totalDemand
-	kn.theta = resizeInt32(kn.theta, nk)
-	for k := range kn.theta {
-		kn.theta[k] = 0
-	}
 
 	edges := 0
 	for i := range ins.Bids {
 		edges += len(ins.Bids[i].Covers)
 	}
-	kn.coverStart = resizeInt32(kn.coverStart, nb+1)
-	kn.coverKey = resizeInt32(kn.coverKey, edges)
-	kn.coverCap = resizeInt32(kn.coverCap, edges)
+	kn.coverStart = resize(kn.coverStart, nb+1)
+	kn.coverKey = resize(kn.coverKey, edges)
+	kn.coverCap = resize(kn.coverCap, edges)
 	e := int32(0)
 	for i := range ins.Bids {
 		b := &ins.Bids[i]
@@ -246,35 +185,10 @@ func (kn *kernel) build(ins *Instance, scaled []float64, opts Options) error {
 
 	kn.groupBidders(ins.Bids)
 
-	// Inverse incidence rows (counting sort over the CSR edges).
-	kn.incStart = resizeInt32(kn.incStart, nk+1)
-	for k := range kn.incStart {
-		kn.incStart[k] = 0
-	}
-	for _, k := range kn.coverKey[:e] {
-		kn.incStart[k+1]++
-	}
-	for k := 0; k < nk; k++ {
-		kn.incStart[k+1] += kn.incStart[k]
-	}
-	kn.incBid = resizeInt32(kn.incBid, int(e))
-	kn.cursor = append(kn.cursor[:0], kn.incStart[:nk]...)
-	for b := int32(0); b < int32(nb); b++ {
-		for ee := kn.coverStart[b]; ee < kn.coverStart[b+1]; ee++ {
-			k := kn.coverKey[ee]
-			kn.incBid[kn.cursor[k]] = b
-			kn.cursor[k]++
-		}
-	}
-
-	kn.cand.reset(nb)
 	kn.winners = kn.winners[:0]
 	kn.ckTheta = kn.ckTheta[:0]
-	kn.ckDeficit = kn.ckDeficit[:0]
 	kn.ckScore = kn.ckScore[:0]
-	kn.ckCand = kn.ckCand[:0]
-	kn.ckCandStart = append(kn.ckCandStart[:0], 0)
-	kn.lh.seed(kn, kn.theta, &kn.cand)
+	kn.main.reset(kn)
 	return nil
 }
 
@@ -283,7 +197,7 @@ func (kn *kernel) build(ins *Instance, scaled []float64, opts Options) error {
 // by (Bidder, index), which pdqsort confirms in linear time; other callers
 // pay one index sort. The order is total, so the sort needs no stability.
 func (kn *kernel) groupBidders(bids []Bid) {
-	kn.groupBids = resizeInt32(kn.groupBids, len(bids))
+	kn.groupBids = resize(kn.groupBids, len(bids))
 	for i := range kn.groupBids {
 		kn.groupBids[i] = int32(i)
 	}
@@ -293,7 +207,7 @@ func (kn *kernel) groupBidders(bids []Bid) {
 		}
 		return cmp.Compare(a, b)
 	})
-	kn.groupOf = resizeInt32(kn.groupOf, len(bids))
+	kn.groupOf = resize(kn.groupOf, len(bids))
 	kn.groupStart = kn.groupStart[:0]
 	for j, b := range kn.groupBids {
 		if j == 0 || bids[b].Bidder != bids[kn.groupBids[j-1]].Bidder {
@@ -313,49 +227,6 @@ func (kn *kernel) scoreOf(b int32, m int) float64 {
 		return kn.scaled[b]
 	}
 	return kn.scaled[b] / float64(m)
-}
-
-// popBest surfaces the main run's true greedy arg-min (see
-// lazyHeap.popBest for the mechanics and exactness argument).
-func (kn *kernel) popBest() (best int32, bestScore float64, bestMarginal int) {
-	return kn.lh.popBest(kn, kn.theta, &kn.cand)
-}
-
-// dirtyCovering bumps — in lh — the coverage epoch of every bid covering
-// needy k: the flat SoA batch pass that invalidates cached scores after
-// θ[k] moved. Banned and dead bids are bumped too; that is cheaper than
-// filtering and harmless (their heap entries are discarded on pop
-// regardless).
-func (kn *kernel) dirtyCovering(lh *lazyHeap, k int32) {
-	for _, b := range kn.incBid[kn.incStart[k]:kn.incStart[k+1]] {
-		lh.bidEpoch[b]++
-	}
-}
-
-// applyDirtyState commits bid b to (theta, deficit) and batch-invalidates —
-// in lh — the cached scores of every bid whose marginal the commit may have
-// changed (exactly the bids covering a needy whose θ moved). Serves both
-// the main run (kn.theta/kn.lh via applyDirty) and the payment replays
-// (rs.theta/rs.lh).
-func (kn *kernel) applyDirtyState(lh *lazyHeap, theta []int32, deficit *int, b int32) {
-	for e := kn.coverStart[b]; e < kn.coverStart[b+1]; e++ {
-		k := kn.coverKey[e]
-		r := kn.demand[k] - theta[k]
-		g := kn.coverCap[e]
-		if g > r {
-			g = r
-		}
-		if g > 0 {
-			theta[k] += g
-			*deficit -= int(g)
-			kn.dirtyCovering(lh, k)
-		}
-	}
-}
-
-// applyDirty is applyDirtyState on the main-run state.
-func (kn *kernel) applyDirty(b int32) {
-	kn.applyDirtyState(&kn.lh, kn.theta, &kn.deficit, b)
 }
 
 // release drops the borrowed scaled-price slice and returns the kernel to
@@ -384,82 +255,22 @@ func (kn *kernel) marginalOf(b int32, theta []int32) int {
 	return gain
 }
 
-// applyGains commits bid b to the main-run state (theta, deficit) and
-// materializes the per-cover gains (aligned with Bid.Covers) into the
-// pooled kn.gains scratch for the certificate builder — the only consumer.
-// theta stays capped at demand, so the per-edge gain formula matches
-// marginalOf exactly. SkipCertificate runs never call it and allocate
-// nothing per iteration.
-func (kn *kernel) applyGains(b int32) []int {
-	n := int(kn.coverStart[b+1] - kn.coverStart[b])
-	if cap(kn.gains) < n {
-		kn.gains = make([]int, n)
-	}
-	kn.gains = kn.gains[:n]
-	for i, e := 0, kn.coverStart[b]; e < kn.coverStart[b+1]; i, e = i+1, e+1 {
-		k := kn.coverKey[e]
-		r := kn.demand[k] - kn.theta[k]
-		g := kn.coverCap[e]
-		if g > r {
-			g = r
-		}
-		kn.theta[k] += g
-		kn.deficit -= int(g)
-		kn.gains[i] = int(g)
-	}
-	return kn.gains
-}
-
-// removeGroupIn removes every bid of bidder group g from cs.
-func (kn *kernel) removeGroupIn(cs *candSet, g int32) {
-	for _, b := range kn.groupBids[kn.groupStart[g]:kn.groupStart[g+1]] {
-		cs.remove(b)
-	}
-}
-
-// checkpoint snapshots the pre-apply state of the current winning
-// iteration: θ, deficit, the compact candidate list (post dead-bid
-// removal, pre winner-group removal — dead bids are dead in every
-// counterfactual too, and the replay filters the excluded bidder itself),
-// and the iteration's selected score for the prefix max.
-func (kn *kernel) checkpoint(score float64) {
-	kn.ckTheta = append(kn.ckTheta, kn.theta...)
-	kn.ckDeficit = append(kn.ckDeficit, kn.deficit)
-	kn.ckScore = append(kn.ckScore, score)
-	kn.ckCand = append(kn.ckCand, kn.cand.list...)
-	kn.ckCandStart = append(kn.ckCandStart, len(kn.ckCand))
-}
-
-// dirtyGains is the batch epoch pass for the certificate path (main run
-// only): applyGains has already committed bid b, so the per-cover gains
-// tell exactly which needy services' θ moved.
-func (kn *kernel) dirtyGains(b int32, gains []int) {
-	for i, e := 0, kn.coverStart[b]; e < kn.coverStart[b+1]; i, e = i+1, e+1 {
-		if gains[i] > 0 {
-			kn.dirtyCovering(&kn.lh, kn.coverKey[e])
-		}
-	}
-}
-
 // selectWinners runs the greedy selection loop (Algorithm 1, lines 3-12)
 // on the built kernel, filling out's winner list and cost accounting and
 // feeding the certificate builder when present. The per-iteration arg-min
 // comes from the lazy-rescore heap (popBest) instead of a full candidate
-// scan, and each committed winner batch-invalidates only the bids whose
-// marginals it touched. Checkpoints are recorded only when the payment
-// phase will consume them; with lazy dead-bid discovery the checkpointed
-// candidate lists may retain bids whose marginal already hit 0 — harmless,
-// because deadness depends only on θ and the replay scans prune them before
-// any score is computed (DESIGN.md §11).
+// scan. Checkpoints are recorded only when the payment phase will consume
+// them.
 func (kn *kernel) selectWinners(ins *Instance, opts Options, out *Outcome, cert *certBuilder) error {
 	checkpoints := opts.payment() == CriticalValue
-	for kn.deficit > 0 {
-		best, score, marginal := kn.popBest()
+	for kn.main.deficit > 0 {
+		best, score, marginal := kn.main.popBest(kn)
 		if best < 0 {
-			return fmt.Errorf("%w: uncovered demand %d remains", ErrInfeasible, kn.deficit)
+			return fmt.Errorf("%w: uncovered demand %d remains", ErrInfeasible, kn.main.deficit)
 		}
 		if checkpoints {
-			kn.checkpoint(score)
+			kn.ckTheta = append(kn.ckTheta, kn.main.theta...)
+			kn.ckScore = append(kn.ckScore, score)
 		}
 		if kn.tracer != nil {
 			kn.tracer.Emit(obs.GreedyPick{
@@ -468,13 +279,12 @@ func (kn *kernel) selectWinners(ins *Instance, opts Options, out *Outcome, cert 
 				Score: score, Marginal: marginal, ScaledPrice: kn.scaled[best],
 			})
 		}
-		kn.removeGroupIn(&kn.cand, kn.groupOf[best])
 		if cert != nil {
-			gains := kn.applyGains(best)
-			kn.dirtyGains(best, gains)
-			cert.record(int(best), &ins.Bids[best], gains, kn.scaled[best], marginal)
+			kn.gains = resize(kn.gains, int(kn.coverStart[best+1]-kn.coverStart[best]))
+			kn.main.commit(kn, best, kn.gains)
+			cert.record(int(best), &ins.Bids[best], kn.gains, kn.scaled[best], marginal)
 		} else {
-			kn.applyDirty(best)
+			kn.main.commit(kn, best, nil)
 		}
 		kn.winners = append(kn.winners, int(best))
 		out.SocialCost += ins.Bids[best].Price
@@ -484,104 +294,79 @@ func (kn *kernel) selectWinners(ins *Instance, opts Options, out *Outcome, cert 
 	return nil
 }
 
-// replayScratch is the reusable per-replay mutable state of one
-// counterfactual payment run: θ/deficit/candidate set plus the replay's own
-// lazy-rescore heap, seeded from the loaded checkpoint — a counterfactual
-// replay is just another greedy run whose θ only grows, so the same
-// lazy-greedy exactness argument applies from its starting state. Pooled so
-// neither the serial nor the parallel payment path allocates per winner.
+// replayScratch is the reusable per-worker state of the counterfactual
+// payment runs. replay is the current counterfactual — a greedy run whose
+// θ only grows, so the lazy-greedy exactness argument applies from its
+// starting state. follower re-runs the main selection with the same pop
+// and commit steps; after next iterations it holds the main run's exact
+// state at checkpoint next, heap included, so a checkpointed replay starts
+// from a copy of it instead of re-seeding a heap. Each worker loads its
+// checkpoints in ascending order (the serial loop, or the shared atomic
+// counter), so one follower pass per worker serves every replay. Pooled
+// so neither the serial nor the parallel payment path allocates per
+// winner.
 type replayScratch struct {
-	theta   []int32
-	deficit int
-	cand    candSet
-	lh      lazyHeap
+	replay   greedyState
+	follower greedyState
+	next     int
 }
 
 var replayScratchPool = sync.Pool{New: func() any { return new(replayScratch) }}
 
-// loadCheckpoint initializes rs from main-run checkpoint s with bidder
-// group ban excluded from the candidate set, then seeds the replay's heap
-// with exact scores at the checkpoint θ. The checkpointed list may retain
-// bids that went dead before s but were never surfaced by the main run's
-// lazy discovery; the seed pass prunes them here, exactly where the old
-// full-scan replay pruned them on its first iteration (DESIGN.md §11).
+// follow advances the follower to main-run checkpoint s ≥ rs.next.
+func (rs *replayScratch) follow(kn *kernel, s int) {
+	for ; rs.next < s; rs.next++ {
+		b, _, _ := rs.follower.popBest(kn)
+		rs.follower.commit(kn, b, nil)
+	}
+}
+
+// startFollower rewinds the follower to the pre-auction state of kn's run.
+func (rs *replayScratch) startFollower(kn *kernel) {
+	rs.follower.reset(kn)
+	rs.next = 0
+}
+
+// loadCheckpoint initializes rs.replay to the main run's state at
+// checkpoint s with bidder group ban excluded. Successive calls after
+// startFollower must not decrease s.
 func (rs *replayScratch) loadCheckpoint(kn *kernel, s int, ban int32) {
-	rs.theta = append(rs.theta[:0], kn.ckTheta[s*kn.nk:(s+1)*kn.nk]...)
-	rs.deficit = kn.ckDeficit[s]
-	rs.loadCands(kn, kn.ckCand[kn.ckCandStart[s]:kn.ckCandStart[s+1]], ban)
-	rs.lh.seed(kn, rs.theta, &rs.cand)
+	rs.follow(kn, s)
+	rs.replay.copyFrom(&rs.follower)
+	rs.replay.banned[ban] = true
 }
 
-// loadInitial initializes rs to the blank pre-auction state (θ ≡ 0, all
-// bids live) with bidder group ban excluded — the from-scratch replay used
-// by BudgetedSSAM, whose selection path diverges from plain SSAM once the
-// budget binds and therefore cannot reuse the truthful run's checkpoints.
+// loadInitial initializes rs.replay to the blank pre-auction state (θ ≡ 0,
+// all bids live) with bidder group ban excluded — the from-scratch replay
+// used by BudgetedSSAM, whose selection path diverges from plain SSAM once
+// the budget binds and therefore cannot reuse the truthful run's
+// checkpoints.
 func (rs *replayScratch) loadInitial(kn *kernel, ban int32) {
-	rs.theta = resizeInt32(rs.theta, kn.nk)
-	for k := range rs.theta {
-		rs.theta[k] = 0
-	}
-	rs.deficit = kn.totalDemand
-	if cap(rs.cand.list) < kn.nb {
-		rs.cand.list = make([]int32, 0, kn.nb)
-	}
-	rs.cand.list = rs.cand.list[:0]
-	rs.cand.pos = resizeInt32(rs.cand.pos, kn.nb)
-	for b := int32(0); b < int32(kn.nb); b++ {
-		if kn.groupOf[b] == ban {
-			rs.cand.pos[b] = -1
-			continue
-		}
-		rs.cand.pos[b] = int32(len(rs.cand.list))
-		rs.cand.list = append(rs.cand.list, b)
-	}
-	rs.lh.seed(kn, rs.theta, &rs.cand)
+	rs.replay.reset(kn)
+	rs.replay.banned[ban] = true
 }
 
-func (rs *replayScratch) loadCands(kn *kernel, cands []int32, ban int32) {
-	rs.cand.pos = resizeInt32(rs.cand.pos, kn.nb)
-	for b := range rs.cand.pos {
-		rs.cand.pos[b] = -1
-	}
-	if cap(rs.cand.list) < len(cands) {
-		rs.cand.list = make([]int32, 0, len(cands))
-	}
-	rs.cand.list = rs.cand.list[:0]
-	for _, b := range cands {
-		if kn.groupOf[b] == ban {
-			continue
-		}
-		rs.cand.pos[b] = int32(len(rs.cand.list))
-		rs.cand.list = append(rs.cand.list, b)
-	}
-}
-
-// replayFrom runs the counterfactual greedy from rs's loaded state,
+// replayFrom runs the counterfactual greedy from st's loaded state,
 // accumulating max over iterations of U_w(E_s)·θ_s — what bid w's report
 // could be while still preempting the iteration — until w can no longer
-// contribute or the demand is covered. The per-iteration arg-min comes
-// from the replay's own lazy-rescore heap (seeded by loadCheckpoint /
-// loadInitial), so a replay of a long suffix costs heap pops plus batch
-// dirtying instead of one full candidate scan per iteration. pivotal
-// reports that the remaining demand was uncoverable while w still had
-// positive marginal (the reserve applies; any accumulated value is
-// discarded, as in the reference).
-func (kn *kernel) replayFrom(rs *replayScratch, w int32, prior float64) (best float64, pivotal bool) {
+// contribute or the demand is covered. pivotal reports that the remaining
+// demand was uncoverable while w still had positive marginal (the reserve
+// applies; any accumulated value is discarded, as in the reference).
+func (kn *kernel) replayFrom(st *greedyState, w int32, prior float64) (best float64, pivotal bool) {
 	best = prior
-	for rs.deficit > 0 {
-		m := kn.marginalOf(w, rs.theta)
+	for st.deficit > 0 {
+		m := kn.marginalOf(w, st.theta)
 		if m <= 0 {
 			break
 		}
-		idx, score, _ := rs.lh.popBest(kn, rs.theta, &rs.cand)
+		idx, score, _ := st.popBest(kn)
 		if idx < 0 {
 			return 0, true
 		}
 		if v := float64(m) * score; v > best {
 			best = v
 		}
-		kn.removeGroupIn(&rs.cand, kn.groupOf[idx])
-		kn.applyDirtyState(&rs.lh, rs.theta, &rs.deficit, idx)
+		st.commit(kn, idx, nil)
 	}
 	return best, false
 }
@@ -605,7 +390,7 @@ func (kn *kernel) criticalValue(ins *Instance, w int32, s int, opts Options, rs 
 		}
 	}
 	rs.loadCheckpoint(kn, s, kn.groupOf[w])
-	best, pivotal := kn.replayFrom(rs, w, best)
+	best, pivotal := kn.replayFrom(&rs.replay, w, best)
 	switch {
 	case pivotal:
 		best = reservePayment(ins, kn.scaled, int(w), opts)
@@ -632,7 +417,7 @@ func (kn *kernel) fullCounterfactual(ins *Instance, w int32, opts Options, rs *r
 		return kn.scaled[w]
 	}
 	rs.loadInitial(kn, kn.groupOf[w])
-	best, pivotal := kn.replayFrom(rs, w, 0)
+	best, pivotal := kn.replayFrom(&rs.replay, w, 0)
 	switch {
 	case pivotal:
 		best = reservePayment(ins, kn.scaled, int(w), opts)
@@ -652,10 +437,12 @@ func (kn *kernel) fullCounterfactual(ins *Instance, w int32, opts Options, rs *r
 
 // computePayments fills payments[w] for every winner of the completed
 // selection run. Each winner's replay depends only on the immutable flat
-// view, its checkpoint, and its winner position, so replays fan out across
-// a bounded worker pool with bit-identical results at every Parallelism
-// level (each replay performs the same float64 operation sequence
-// regardless of scheduling; results are assembled serially).
+// view, its checkpoint, and its winner position — the worker's follower
+// re-derives the same checkpoint state whichever winners it serves — so
+// replays fan out across a bounded worker pool with bit-identical results
+// at every Parallelism level (each replay performs the same float64
+// operation sequence regardless of scheduling; results are assembled
+// serially).
 func (kn *kernel) computePayments(ins *Instance, opts Options, payments map[int]float64) {
 	winners := kn.winners
 	if len(winners) == 0 {
@@ -673,6 +460,7 @@ func (kn *kernel) computePayments(ins *Instance, opts Options, payments map[int]
 	}
 	if workers <= 1 {
 		rs := replayScratchPool.Get().(*replayScratch)
+		rs.startFollower(kn)
 		for s, w := range winners {
 			payments[w] = kn.criticalValue(ins, int32(w), s, opts, rs)
 		}
@@ -688,6 +476,7 @@ func (kn *kernel) computePayments(ins *Instance, opts Options, payments map[int]
 			defer wg.Done()
 			rs := replayScratchPool.Get().(*replayScratch)
 			defer replayScratchPool.Put(rs)
+			rs.startFollower(kn)
 			for {
 				s := int(next.Add(1)) - 1
 				if s >= len(winners) {

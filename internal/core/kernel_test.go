@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -32,8 +33,8 @@ func TestBetterScore(t *testing.T) {
 }
 
 // TestExactTiePermutedList is the regression test for the permuted-list
-// tie-break case: the kernel's candidate list and heap permute entries as
-// the run progresses (swap-deletes, sift-downs), so the lowest-bid-index
+// tie-break case: the kernel's heaps permute entries as the run progresses
+// (sift-downs, pops, copies into replays), so the lowest-bid-index
 // rule must be applied explicitly rather than inherited from scan order.
 // The instance makes the rule fully observable from the outside: every bid
 // covers exactly one unit-demand needy service at the same price, so EVERY
@@ -107,9 +108,9 @@ func TestExactTiePermutedList(t *testing.T) {
 // TestKernelPoolReuseAcrossShapes drives the pooled kernel and replay
 // scratches through back-to-back instances of sharply different sizes and
 // generator families, holding every run to the reference oracle. A pooled
-// buffer that survives a resize, a stale epoch or heap entry, or any other
-// state leaking across builds would surface as a differential divergence
-// here. Parallelism rotates so replay scratches also cross shapes.
+// buffer that survives a resize, a stale ban, heap entry or follower, or
+// any other state leaking across builds would surface as a differential
+// divergence here. Parallelism rotates so replay scratches also cross shapes.
 func TestKernelPoolReuseAcrossShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	shapes := []struct{ bidders, needy, bidsPer int }{
@@ -147,6 +148,47 @@ func TestKernelPoolReuseAcrossShapes(t *testing.T) {
 			}
 			if wantErr == nil && !want.Outcome.Equal(&got.Outcome) {
 				t.Fatalf("round %d shape %d: budgeted divergence:\nreference: %+v\nkernel:    %+v", round, si, want.Outcome, got.Outcome)
+			}
+		}
+	}
+}
+
+// TestReplayFollowerTracksMainRun holds the payment follower to the main
+// run it re-derives. Advanced through every checkpoint of a completed
+// selection, a fresh follower must hold that checkpoint's θ and pop the
+// winner the main run picked there; otherwise a replay would start from
+// the wrong state and the divergence would show only as a payment
+// bit-diff. Random, tie-prone and saturation-heavy instances run under
+// both greedy metrics.
+func TestReplayFollowerTracksMainRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	gens := []func(*rand.Rand, int, int, int) *Instance{
+		randomInstance, tieProneInstance, saturationHeavyInstance,
+	}
+	for trial := 0; trial < 45; trial++ {
+		ins := gens[trial%len(gens)](rng, 2+rng.Intn(30), 1+rng.Intn(8), 1+rng.Intn(3))
+		scaled := make([]float64, len(ins.Bids))
+		for i, b := range ins.Bids {
+			scaled[i] = b.Price
+		}
+		for _, metric := range []GreedyMetric{PricePerCoverage, LowestPrice} {
+			opts := Options{Metric: metric, SkipCertificate: true}
+			kn := new(kernel)
+			if err := kn.build(ins, scaled, opts); err != nil {
+				t.Fatalf("trial %d: build: %v", trial, err)
+			}
+			// An infeasible run still checkpoints every winner it picked.
+			_ = kn.selectWinners(ins, opts, &Outcome{}, nil)
+			rs := new(replayScratch)
+			rs.startFollower(kn)
+			for s, w := range kn.winners {
+				rs.follow(kn, s)
+				if want := kn.ckTheta[s*kn.nk : (s+1)*kn.nk]; !slices.Equal(rs.follower.theta, want) {
+					t.Fatalf("trial %d metric %d checkpoint %d: follower θ %v, main run %v", trial, metric, s, rs.follower.theta, want)
+				}
+				if got, _, _ := rs.follower.popBest(kn); got != int32(w) {
+					t.Fatalf("trial %d metric %d checkpoint %d: follower pops bid %d, main run won with %d", trial, metric, s, got, w)
+				}
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -156,7 +157,8 @@ func (s *MechanismSpec) Set(v string) error {
 // ParseMechanismSpec parses the "-mechanism" flag syntax shared by
 // platformd, edgesim, repro and chaos: a registry name optionally
 // followed by ":key=val,key=val" parameters. The empty string yields the
-// zero spec (SSAM). Examples:
+// zero spec (SSAM). Values must be finite numbers, and each setting may be
+// given once, under one of its names. Examples:
 //
 //	ssam
 //	budgeted-ssam:budget=500
@@ -187,49 +189,48 @@ func ParseMechanismSpec(s string) (MechanismSpec, error) {
 		if err != nil {
 			return spec, fmt.Errorf("core: mechanism spec %q: parameter %q: %v", s, kv, err)
 		}
-		params[strings.TrimSpace(k)] = f
-	}
-	take := func(keys ...string) (float64, bool) {
-		for _, k := range keys {
-			if v, ok := params[k]; ok {
-				delete(params, k)
-				return v, true
-			}
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return spec, fmt.Errorf("core: mechanism spec %q: parameter %q is not finite", s, kv)
 		}
-		return 0, false
+		k = strings.TrimSpace(k)
+		if _, dup := params[k]; dup {
+			return spec, fmt.Errorf("core: mechanism spec %q: parameter %q given twice", s, k)
+		}
+		params[k] = f
+	}
+	// take moves one setting, given under any of its aliases, into dst;
+	// giving it under two aliases is as much an error as repeating a key.
+	var aliasErr error
+	take := func(dst *float64, aliases ...string) {
+		given := ""
+		for _, k := range aliases {
+			v, ok := params[k]
+			if !ok {
+				continue
+			}
+			delete(params, k)
+			if given != "" && aliasErr == nil {
+				aliasErr = fmt.Errorf("core: mechanism spec %q: parameters %q and %q set the same value", s, given, k)
+			}
+			given, *dst = k, v
+		}
 	}
 	switch spec.Name {
 	case NameSSAM, "":
 	case NameBudgetedSSAM:
-		if v, ok := take("budget"); ok {
-			spec.Budget = v
-		}
+		take(&spec.Budget, "budget")
 	case NamePostedPrice:
 		cfg := &PostedPriceConfig{}
-		if v, ok := take("epsilon", "eps"); ok {
-			cfg.Epsilon = v
-		}
-		if v, ok := take("lo", "price_lo"); ok {
-			cfg.PriceLo = v
-		}
-		if v, ok := take("hi", "price_hi"); ok {
-			cfg.PriceHi = v
-		}
-		if v, ok := take("safety"); ok {
-			cfg.Safety = v
-		}
+		take(&cfg.Epsilon, "epsilon", "eps")
+		take(&cfg.PriceLo, "lo", "price_lo")
+		take(&cfg.PriceHi, "hi", "price_hi")
+		take(&cfg.Safety, "safety")
 		spec.PostedPrice = cfg
 	case NameDoubleAuction:
 		cfg := &DoubleAuctionConfig{}
-		if v, ok := take("discount"); ok {
-			cfg.Discount = v
-		}
-		if v, ok := take("overbook"); ok {
-			cfg.Overbook = v
-		}
-		if v, ok := take("penalty", "penalty_rate"); ok {
-			cfg.PenaltyRate = v
-		}
+		take(&cfg.Discount, "discount")
+		take(&cfg.Overbook, "overbook")
+		take(&cfg.PenaltyRate, "penalty", "penalty_rate")
 		spec.DoubleAuction = cfg
 	default:
 		// Unknown names may still be registered (e.g. test mechanisms);
@@ -238,6 +239,9 @@ func ParseMechanismSpec(s string) (MechanismSpec, error) {
 		if len(params) > 0 {
 			return spec, fmt.Errorf("core: mechanism spec %q: unknown mechanism takes no parameters", s)
 		}
+	}
+	if aliasErr != nil {
+		return spec, aliasErr
 	}
 	if len(params) > 0 {
 		keys := make([]string, 0, len(params))
@@ -374,7 +378,11 @@ func init() {
 		if spec.PostedPrice != nil {
 			cfg = *spec.PostedPrice
 		}
-		return NewPostedPrice(cfg), nil
+		p := NewPostedPrice(cfg)
+		if err := p.cfg.validate(); err != nil {
+			return nil, err
+		}
+		return p, nil
 	})
 	RegisterMechanism(NameDoubleAuction, func(spec MechanismSpec) (Mechanism, error) {
 		var cfg DoubleAuctionConfig

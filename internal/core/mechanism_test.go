@@ -2,10 +2,12 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 )
 
 // --- registry and spec parsing ---
@@ -127,6 +129,16 @@ func TestParseMechanismSpec(t *testing.T) {
 		"double-auction:overbook=x",  // not a number
 		"no-such-mechanism:param=1",  // unknown name takes no params
 		"budgeted-ssam:epsilon=0.05", // parameter of another mechanism
+		"budgeted-ssam:budget=NaN",   // not finite
+		"budgeted-ssam:budget=Inf",
+		"budgeted-ssam:budget=-Inf",
+		"double-auction:discount=NaN",
+		"posted-price:safety=+Inf",
+		"budgeted-ssam:budget=1,budget=2",             // repeated key
+		"posted-price:epsilon=0.1,eps=0.2",            // one setting under two aliases
+		"posted-price:price_hi=30,hi=40",              // aliases in the other order
+		"double-auction:penalty=0.2,penalty_rate=0.3", // aliases of the penalty rate
+		"posted-price:lo=10, lo=10",                   // repeated even when equal
 	} {
 		if _, err := ParseMechanismSpec(bad); err == nil {
 			t.Errorf("parse %q: want error, got none", bad)
@@ -500,4 +512,109 @@ func TestVerifyPenaltyBoundRejectsRiggedSettlements(t *testing.T) {
 	if err := VerifyPenaltyBound(&ok, cfg); err != nil {
 		t.Errorf("clean settlement rejected: %v", err)
 	}
+}
+
+// TestPostedPriceRejectsEndlessGrid: a configuration whose geometric grid
+// walk would not end — 1+ε rounding to 1, or ~10¹² levels — fails with an
+// error at NewMechanism and at Clear instead of hanging the round. The
+// narrow-range case has a grid count that log1p(ε) would put under the
+// bound, although its float64 step 1+ε is exactly 1.
+func TestPostedPriceRejectsEndlessGrid(t *testing.T) {
+	ins := &Instance{Demand: []int{1}, Bids: []Bid{
+		{Bidder: 1, Price: 12, TrueCost: 12, Covers: []int{0}, Units: 1},
+	}}
+	withDeadline := func(label string, f func() error) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- f() }()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("%s: want an error, got none", label)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: no answer within 5s: the grid walk does not end", label)
+		}
+	}
+	for _, in := range []string{
+		"posted-price:epsilon=1e-17",
+		"posted-price:epsilon=1e-12",
+		"posted-price:lo=10,hi=10.00000000001,epsilon=1e-18",
+	} {
+		spec, err := ParseMechanismSpec(in)
+		if err != nil {
+			t.Fatalf("parse %q: %v", in, err)
+		}
+		withDeadline("NewMechanism("+in+")", func() error {
+			_, err := NewMechanism(spec)
+			return err
+		})
+		withDeadline("Clear("+in+")", func() error {
+			_, err := NewPostedPrice(*spec.PostedPrice).Clear(ins, Options{})
+			return err
+		})
+	}
+	for _, cfg := range []PostedPriceConfig{
+		{PriceLo: math.Inf(1)},
+		{PriceHi: math.NaN()},
+		{Safety: math.NaN()},
+		{Epsilon: math.NaN()},
+	} {
+		withDeadline(fmt.Sprintf("Clear(%+v)", cfg), func() error {
+			_, err := NewPostedPrice(cfg).Clear(ins, Options{})
+			return err
+		})
+	}
+	// The grids the repository runs stay valid.
+	for _, eps := range []float64{0, 0.05, 0.1} {
+		if _, err := NewPostedPrice(PostedPriceConfig{Epsilon: eps}).Clear(ins, Options{}); err != nil {
+			t.Errorf("epsilon %v: %v", eps, err)
+		}
+	}
+}
+
+// FuzzParseMechanismSpec fuzzes the -mechanism flag parser: it must never
+// panic; an accepted spec's String() must re-parse to the same String();
+// and NewMechanism on an accepted spec must either fail or clear a fixed
+// three-bid instance (with or without an error, but promptly).
+func FuzzParseMechanismSpec(f *testing.F) {
+	for _, s := range []string{
+		"", "ssam", "budgeted-ssam:budget=500",
+		"posted-price:epsilon=0.05,lo=10,hi=35",
+		"posted-price:eps=0.05,price_lo=12,price_hi=30,safety=2",
+		"double-auction:discount=0.9,overbook=1.25,penalty=0.5",
+		"double-auction:penalty_rate=0.25",
+		"budgeted-ssam:budget=NaN", "budgeted-ssam:budget=Inf",
+		"double-auction:discount=NaN",
+		"budgeted-ssam:budget=1,budget=2",
+		"posted-price:epsilon=0.1,eps=0.2",
+		"posted-price:epsilon=1e-17", "posted-price:epsilon=1e-12",
+		"posted-price:lo=10,hi=10.00000000001,epsilon=1e-18",
+		"no-such-mechanism:param=1", ":", "ssam:,,",
+	} {
+		f.Add(s)
+	}
+	ins := &Instance{Demand: []int{2}, Bids: []Bid{
+		{Bidder: 1, Price: 12, TrueCost: 12, Covers: []int{0}, Units: 1},
+		{Bidder: 2, Price: 20, TrueCost: 20, Covers: []int{0}, Units: 1},
+		{Bidder: 3, Price: 31, TrueCost: 31, Covers: []int{0}, Units: 1},
+	}}
+	f.Fuzz(func(t *testing.T, in string) {
+		spec, err := ParseMechanismSpec(in)
+		if err != nil {
+			return
+		}
+		back, err := ParseMechanismSpec(spec.String())
+		if err != nil {
+			t.Fatalf("%q: String() %q does not re-parse: %v", in, spec.String(), err)
+		}
+		if back.String() != spec.String() {
+			t.Fatalf("%q: String() %q re-parses to %q", in, spec.String(), back.String())
+		}
+		mech, err := NewMechanism(spec)
+		if err != nil {
+			return
+		}
+		_, _ = mech.Clear(ins, Options{Parallelism: 1})
+	})
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -413,5 +414,54 @@ func TestTotalPaymentDeterministic(t *testing.T) {
 		if got := out.TotalPayment(); got != want {
 			t.Fatalf("call %d: TotalPayment %v, want %v (summation order leaked)", i, got, want)
 		}
+	}
+}
+
+// BenchmarkMSOAMarketDense times warm MSOA rounds on an instance shaped
+// like perfbench's market-dense workload, without the TCP harness: 1,000
+// bidders × 8 alternative bids, each covering 3–6 of 64 needy services at
+// demand 7 with one unit; Θ = 4 for bidders 1–500, so capacity exclusion
+// engages, and 100,000 for the rest, so ψ scaling engages on every win.
+// Every round clears the same bids, as in perfbench, after 40 warm-up
+// rounds; Options are the defaults the platform clears with (certificate
+// on, Parallelism = GOMAXPROCS). A warm round excludes 2,418 bids and
+// picks 117 winners, so the critical-value payment replays are most of
+// its time.
+func BenchmarkMSOAMarketDense(b *testing.B) {
+	const bidders, alts, needy, demand = 1000, 8, 64, 7
+	rng := rand.New(rand.NewSource(1))
+	ins := &Instance{Demand: make([]int, needy)}
+	for k := range ins.Demand {
+		ins.Demand[k] = demand
+	}
+	capacity := make(map[int]int, bidders)
+	for id := 1; id <= bidders; id++ {
+		capacity[id] = 100000
+		if id <= bidders/2 {
+			capacity[id] = 4
+		}
+		for alt := 0; alt < alts; alt++ {
+			covers := rng.Perm(needy)[:3+rng.Intn(4)]
+			price := math.Round((1+9*rng.Float64())*float64(len(covers))*100) / 100
+			ins.Bids = append(ins.Bids, Bid{
+				Bidder: id, Alt: alt, Price: price, TrueCost: price, Covers: covers, Units: 1,
+			})
+		}
+	}
+	m := NewMSOA(MSOAConfig{Capacity: capacity})
+	t := 0
+	round := func() {
+		t++
+		if res := m.RunRound(Round{T: t, Instance: ins}); res.Err != nil {
+			b.Fatalf("round %d: %v", t, res.Err)
+		}
+	}
+	for i := 0; i < 40; i++ {
+		round()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
 	}
 }

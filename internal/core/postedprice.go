@@ -1,6 +1,10 @@
 package core
 
-import "sort"
+import (
+	"fmt"
+	"math"
+	"sort"
+)
 
 // This file implements a (1−ε)-optimal posted-price mechanism in the
 // spirit of Zhang et al. (arXiv 1611.07619): the platform posts a single
@@ -66,6 +70,31 @@ func (c PostedPriceConfig) withDefaults() PostedPriceConfig {
 	return c
 }
 
+// maxPostedLevels bounds the geometric grid PostedLevel walks one level
+// at a time.
+const maxPostedLevels = 1 << 20
+
+// validate rejects an effective (default-filled) configuration whose grid
+// walk would not end in reasonable time: a non-finite field, or more than
+// maxPostedLevels levels from PriceLo to PriceHi. The walk multiplies by
+// the float64 1+ε, so the count uses that factor: an ε too small to move
+// 1+ε off 1 yields infinitely many levels, however narrow the range.
+func (c PostedPriceConfig) validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"epsilon", c.Epsilon}, {"price_lo", c.PriceLo}, {"price_hi", c.PriceHi}, {"safety", c.Safety}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("core: posted-price %s %v is not finite", f.name, f.v)
+		}
+	}
+	if levels := math.Log(c.PriceHi/c.PriceLo) / math.Log(1+c.Epsilon); !(levels <= maxPostedLevels) {
+		return fmt.Errorf("core: posted-price grid from %v to %v in steps of 1+%v has more than %d levels",
+			c.PriceLo, c.PriceHi, c.Epsilon, maxPostedLevels)
+	}
+	return nil
+}
+
 // PostedPrice is the posted-price mechanism. It is stateless: each Clear
 // call computes its level from the instance at hand.
 type PostedPrice struct {
@@ -86,7 +115,8 @@ func (p *PostedPrice) Name() string { return NamePostedPrice }
 // PostedLevel computes the price π posted for an instance. It reads the
 // demand vector and the bids' cover structure (counts, units, cover
 // sets) but never a reported price, which is what keeps the mechanism
-// truthful: no report can move the level.
+// truthful: no report can move the level. It walks the grid level by
+// level, so it assumes a configuration that Clear accepts.
 func (p *PostedPrice) PostedLevel(ins *Instance) float64 {
 	demand := float64(ins.TotalDemand())
 	if demand == 0 {
@@ -137,8 +167,12 @@ func (p *PostedPrice) PostedLevel(ins *Instance) float64 {
 // accept, and cover the demand with a price-independent greedy (marginal
 // coverage descending, bid index ascending, one bid per bidder). Winners
 // are paid the posted price. Returns ErrInfeasible when the accepting
-// supply cannot cover the demand — by design there is no escalation.
+// supply cannot cover the demand — by design there is no escalation — and
+// an error for a configuration whose grid is not finite and bounded.
 func (p *PostedPrice) Clear(ins *Instance, opts Options) (*Outcome, error) {
+	if err := p.cfg.validate(); err != nil {
+		return nil, err
+	}
 	if err := ins.Validate(); err != nil {
 		return nil, err
 	}

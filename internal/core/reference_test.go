@@ -107,9 +107,8 @@ func (cs *refCoverageState) satisfied() bool { return cs.deficit <= 0 }
 // IS the lowest-index tie-break: an exact-score tie can never displace an
 // earlier winner (i > best whenever best is set), and no separate
 // `score == bestScore && i < best` branch is needed — that comparison is
-// unsatisfiable here. (The optimized kernel's heap orders a swap-delete
-// permuted candidate list and therefore DOES need the explicit tie-break;
-// see betterScore.)
+// unsatisfiable here. (The optimized kernel's heap holds bids in permuted
+// order and therefore DOES need the explicit tie-break; see betterScore.)
 // It returns best = -1 when no active bid has positive marginal coverage.
 func refSelectBest(ins *Instance, scaled []float64, active []bool, cs *refCoverageState, metric GreedyMetric) (best int, bestScore float64, bestMarginal int) {
 	best, bestScore = -1, math.Inf(1)

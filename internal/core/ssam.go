@@ -117,9 +117,9 @@ func SSAM(ins *Instance, opts Options) (*Outcome, error) {
 // Outcome.SocialCost is accounted with the raw prices J_ij (Lemma 4).
 //
 // It runs on the pooled flat kernel (kernel.go): a CSR cover view with a
-// compact swap-delete candidate list for selection, per-iteration
-// checkpoints feeding the critical-value payment phase, and a bounded
-// worker pool fanning the per-winner replays out. The straightforward
+// lazy-rescore heap for selection, per-iteration checkpoints feeding the
+// critical-value payment phase, and a bounded worker pool fanning the
+// per-winner replays out. The straightforward
 // implementation it is bit-identical to lives in reference_test.go and is
 // exercised against this path by the differential property/fuzz tests.
 func ssamScaled(ins *Instance, scaled []float64, opts Options) (*Outcome, error) {

@@ -340,9 +340,9 @@ func TestReserveSetExplicitZero(t *testing.T) {
 
 // TestSelectBestExactTieLowestIndex locks the tie-break: with three bids at
 // EXACTLY equal price-per-coverage score, the lowest bid index must win —
-// on the optimized kernel (whose heap and swap-delete candidate list hold
-// bids in permuted order and need an explicit tie-break) and on the reference
-// (whose ascending strict-improvement scan IS the tie-break).
+// on the optimized kernel (whose heap holds bids in permuted order and
+// needs an explicit tie-break) and on the reference (whose ascending
+// strict-improvement scan IS the tie-break).
 func TestSelectBestExactTieLowestIndex(t *testing.T) {
 	ins := &Instance{
 		Demand: []int{2},

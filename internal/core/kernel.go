@@ -58,8 +58,9 @@ import (
 //     selections that actually happened.
 //
 // The kernel operates on int32 state for cache density; build rejects the
-// (unrealistic) instances whose demands overflow that domain instead of
-// silently truncating.
+// (unrealistic) instances whose demands, or a bid's summed clamped cover
+// capacities (an upper bound on its marginal), overflow that domain instead
+// of silently truncating.
 
 // betterScore is THE greedy ordering, shared by every selection path (the
 // lazy-rescore heaps behind selection, budgeted selection and the
@@ -171,14 +172,19 @@ func (kn *kernel) build(ins *Instance, scaled []float64, opts Options) error {
 			return fmt.Errorf("core: bid %d has non-positive units %d", i, b.Units)
 		}
 		kn.coverStart[i] = e
+		reach := 0 // Σ coverCap: bounds every marginal of b (heapEntry.marg)
 		for _, k := range b.Covers {
 			u := b.Units // clamp in int before narrowing: demand ≤ MaxInt32
 			if d := int(kn.demand[k]); u > d {
 				u = d
 			}
+			reach += u
 			kn.coverKey[e] = int32(k)
 			kn.coverCap[e] = int32(u)
 			e++
+		}
+		if reach > math.MaxInt32 {
+			return fmt.Errorf("core: bid %d can cover %d units, beyond the kernel's int32 domain", i, reach)
 		}
 	}
 	kn.coverStart[nb] = e
@@ -302,9 +308,9 @@ func (kn *kernel) selectWinners(ins *Instance, opts Options, out *Outcome, cert 
 // state at checkpoint next, heap included, so a checkpointed replay starts
 // from a copy of it instead of re-seeding a heap. Each worker loads its
 // checkpoints in ascending order (the serial loop, or the shared atomic
-// counter), so one follower pass per worker serves every replay. Pooled
-// so neither the serial nor the parallel payment path allocates per
-// winner.
+// counter), so one follower pass per worker serves every replay; a
+// request behind the follower rewinds it. Pooled so neither the serial
+// nor the parallel payment path allocates per winner.
 type replayScratch struct {
 	replay   greedyState
 	follower greedyState
@@ -313,8 +319,12 @@ type replayScratch struct {
 
 var replayScratchPool = sync.Pool{New: func() any { return new(replayScratch) }}
 
-// follow advances the follower to main-run checkpoint s ≥ rs.next.
+// follow advances the follower to main-run checkpoint s, rewinding it
+// first if it has already passed s.
 func (rs *replayScratch) follow(kn *kernel, s int) {
+	if s < rs.next {
+		rs.startFollower(kn)
+	}
 	for ; rs.next < s; rs.next++ {
 		b, _, _ := rs.follower.popBest(kn)
 		rs.follower.commit(kn, b, nil)
@@ -328,8 +338,8 @@ func (rs *replayScratch) startFollower(kn *kernel) {
 }
 
 // loadCheckpoint initializes rs.replay to the main run's state at
-// checkpoint s with bidder group ban excluded. Successive calls after
-// startFollower must not decrease s.
+// checkpoint s with bidder group ban excluded. startFollower must have
+// bound rs to kn's run; calls in ascending s share one follower pass.
 func (rs *replayScratch) loadCheckpoint(kn *kernel, s int, ban int32) {
 	rs.follow(kn, s)
 	rs.replay.copyFrom(&rs.follower)

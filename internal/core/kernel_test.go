@@ -3,7 +3,9 @@ package core
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 )
 
 // TestBetterScore pins the shared greedy comparison (the ONE tie-break rule
@@ -190,6 +192,41 @@ func TestReplayFollowerTracksMainRun(t *testing.T) {
 					t.Fatalf("trial %d metric %d checkpoint %d: follower pops bid %d, main run won with %d", trial, metric, s, got, w)
 				}
 			}
+			// Out of order, every request rewinds the follower first.
+			for s := len(kn.winners) - 1; s >= 0; s-- {
+				rs.follow(kn, s)
+				if want := kn.ckTheta[s*kn.nk : (s+1)*kn.nk]; !slices.Equal(rs.follower.theta, want) {
+					t.Fatalf("trial %d metric %d rewound to checkpoint %d: follower θ %v, main run %v", trial, metric, s, rs.follower.theta, want)
+				}
+			}
 		}
+	}
+}
+
+// TestBuildRejectsMarginalOverflow pins build's bound on a bid's reach.
+// The heap caches marginals as int32, and a bid whose clamped cover caps
+// sum past MaxInt32 has a marginal no int32 can hold: its cached marginal
+// would never equal the recomputed one, and popBest would rescore the same
+// root forever. build must reject such an instance instead, promptly.
+func TestBuildRejectsMarginalOverflow(t *testing.T) {
+	ins := &Instance{
+		Demand: []int{1 << 30, 1 << 30},
+		Bids:   []Bid{{Bidder: 1, Price: 1, TrueCost: 1, Covers: []int{0, 1}, Units: 1 << 30}},
+	}
+	if err := ins.Validate(); err != nil {
+		t.Fatalf("instance must be valid to reach the kernel: %v", err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := SSAM(ins, Options{})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "int32 domain") {
+			t.Fatalf("SSAM error %v, want the kernel's int32 domain error", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("SSAM did not return within 10s on a bid whose marginal overflows int32")
 	}
 }

@@ -78,6 +78,8 @@ fuzz:
 		./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzParseMechanismSpec$$' -fuzztime $(FUZZTIME) \
 		./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzIngestBuild$$' -fuzztime $(FUZZTIME) \
+		./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzReadAudit$$' -fuzztime $(FUZZTIME) \
 		./internal/platform
 	$(GO) test -run '^$$' -fuzz '^FuzzRecvInto$$' -fuzztime $(FUZZTIME) \

@@ -122,9 +122,11 @@ type (
 	MSOAState = core.MSOAState
 	// PsiEntry is one bidder's dual state inside an MSOAState.
 	PsiEntry = core.PsiEntry
-	// IngestBuffer accumulates a round's bids shard-by-shard in the flat
+	// IngestBuffer accumulates a round's bids in arrival order in the flat
 	// layout the SSAM kernel consumes; Build assembles the canonical
-	// Instance that MSOA.RunRound clears.
+	// Instance that MSOA.RunRound clears, merging the ascending arrival
+	// runs (one per session batch on the platform) in linear time. The
+	// zero value is ready for use.
 	IngestBuffer = core.IngestBuffer
 )
 

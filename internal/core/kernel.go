@@ -107,6 +107,13 @@ type kernel struct {
 	totalDemand int
 	winners     []int
 
+	// seed is main as reset left it, kept only for runs whose payments
+	// replay (CriticalValue): each payment worker's follower, and each of
+	// BudgetedSSAM's from-scratch replays, starts from a copy of it
+	// instead of recomputing every bid's marginal and re-heapifying.
+	// reset is deterministic, so the copy is exact.
+	seed greedyState
+
 	// Per-winning-iteration checkpoints (CriticalValue payments only): θ
 	// BEFORE the iteration's winner was applied, iterations × nk
 	// flattened, and the iteration's selected score. Replays take the rest
@@ -195,6 +202,9 @@ func (kn *kernel) build(ins *Instance, scaled []float64, opts Options) error {
 	kn.ckTheta = kn.ckTheta[:0]
 	kn.ckScore = kn.ckScore[:0]
 	kn.main.reset(kn)
+	if opts.payment() == CriticalValue {
+		kn.seed.copyFrom(&kn.main)
+	}
 	return nil
 }
 
@@ -333,7 +343,7 @@ func (rs *replayScratch) follow(kn *kernel, s int) {
 
 // startFollower rewinds the follower to the pre-auction state of kn's run.
 func (rs *replayScratch) startFollower(kn *kernel) {
-	rs.follower.reset(kn)
+	rs.follower.copyFrom(&kn.seed)
 	rs.next = 0
 }
 
@@ -352,7 +362,7 @@ func (rs *replayScratch) loadCheckpoint(kn *kernel, s int, ban int32) {
 // the budget binds and therefore cannot reuse the truthful run's
 // checkpoints.
 func (rs *replayScratch) loadInitial(kn *kernel, ban int32) {
-	rs.replay.reset(kn)
+	rs.replay.copyFrom(&kn.seed)
 	rs.replay.banned[ban] = true
 }
 

@@ -27,6 +27,14 @@ import (
 // kernel's instance types. Implementations must be deterministic: the
 // same instance and options (and, for Stateful mechanisms, the same
 // prior round sequence) must produce bit-identical outcomes.
+//
+// A mechanism borrows ins (and ClearScaled's scaled prices) for the
+// duration of the call: it must neither modify them nor keep a reference
+// to them, or to any Bid or Covers slice in them, past its return. MSOA
+// hands the round's instance over uncopied (and a platform round's
+// instance aliases its pooled ingest arena); state a mechanism carries
+// across rounds holds copied values, as the double auction's book keeps
+// {Bidder, Price}.
 type Mechanism interface {
 	// Name returns the registry name of the mechanism.
 	Name() string
@@ -43,7 +51,8 @@ type Mechanism interface {
 type ScaledMechanism interface {
 	Mechanism
 	// ClearScaled runs the mechanism on scaled prices aligned with
-	// ins.Bids. SocialCost is still accounted with raw prices.
+	// ins.Bids. SocialCost is still accounted with raw prices. ins and
+	// scaled are borrowed as for Clear.
 	ClearScaled(ins *Instance, scaled []float64, opts Options) (*Outcome, error)
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -60,6 +61,13 @@ func TestMechanismRegistryBuiltins(t *testing.T) {
 }
 
 func TestRegisterMechanismDuplicatePanics(t *testing.T) {
+	// The registry is process-global: unregister the probe so a repeated
+	// run (go test -count=2) registers it afresh.
+	t.Cleanup(func() {
+		mechanisms.Lock()
+		delete(mechanisms.byName, "test-dup-probe")
+		mechanisms.Unlock()
+	})
 	RegisterMechanism("test-dup-probe", func(MechanismSpec) (Mechanism, error) {
 		return ssamMechanism{}, nil
 	})
@@ -226,6 +234,62 @@ func TestMSOANonScaledMechanismSkipsPsi(t *testing.T) {
 	}
 	if m.Mechanism() == nil || m.Mechanism().Name() != NameDoubleAuction {
 		t.Fatal("MSOA should expose the resolved mechanism")
+	}
+}
+
+// TestMSOAMechanismsLeaveRoundUntouched pins the Mechanism borrow
+// contract for every built-in: on rounds without exclusions MSOA hands
+// the round's instance and res.Scaled to the mechanism uncopied, so after
+// each round — and after every later round, which would show a kept
+// reference written to — each instance must still equal its clone taken
+// before the round, and each res.Scaled the prices MSOA derived.
+func TestMSOAMechanismsLeaveRoundUntouched(t *testing.T) {
+	specs := []MechanismSpec{
+		{Name: NameSSAM},
+		{Name: NameBudgetedSSAM, Budget: 1e6},
+		{Name: NamePostedPrice},
+		{Name: NameDoubleAuction},
+	}
+	for _, spec := range specs {
+		rng := rand.New(rand.NewSource(71))
+		// Θ is finite, so ψ grows and the scaled prices move, but too
+		// large for any bid to be excluded.
+		m := NewMSOA(MSOAConfig{DefaultCapacity: 1000, Mechanism: spec, Options: Options{Parallelism: 2}})
+		var rounds []*Instance
+		var clones []*Instance
+		var results []*RoundResult
+		var scaled [][]float64
+		cleared := 0
+		for r := 1; r <= 6; r++ {
+			ins := randomInstance(rng, 6+rng.Intn(10), 2+rng.Intn(3), 1+rng.Intn(3))
+			want := make([]float64, len(ins.Bids))
+			for i, b := range ins.Bids {
+				want[i] = b.Price + float64(len(b.Covers))*m.Psi(b.Bidder)
+			}
+			rounds, clones, scaled = append(rounds, ins), append(clones, ins.Clone()), append(scaled, want)
+			res := m.RunRound(Round{T: r, Instance: ins})
+			results = append(results, res)
+			if res.Err != nil && !errors.Is(res.Err, ErrInfeasible) {
+				t.Fatalf("%s round %d: %v", spec, r, res.Err)
+			}
+			if res.Err == nil && len(res.Outcome.Winners) > 0 {
+				cleared++
+			}
+			if len(res.Excluded) != 0 {
+				t.Fatalf("%s round %d: %d bids excluded, want none", spec, r, len(res.Excluded))
+			}
+			for x := range rounds {
+				if !reflect.DeepEqual(rounds[x], clones[x]) {
+					t.Fatalf("%s: round %d's instance changed by round %d", spec, x+1, r)
+				}
+				if !reflect.DeepEqual(results[x].Scaled, scaled[x]) {
+					t.Fatalf("%s: round %d's scaled prices changed by round %d\n got %v\nwant %v", spec, x+1, r, results[x].Scaled, scaled[x])
+				}
+			}
+		}
+		if cleared == 0 {
+			t.Fatalf("%s: no round cleared with winners", spec)
+		}
 	}
 }
 

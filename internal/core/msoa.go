@@ -193,34 +193,47 @@ func (m *MSOA) RunRound(r Round) *RoundResult {
 	}
 
 	// Build the candidate set and scaled prices (Algorithm 2, lines 4-8).
-	filtered := &Instance{
-		Demand: ins.Demand,
-		Bids:   make([]Bid, 0, len(ins.Bids)),
-	}
-	mapping := make([]int, 0, len(ins.Bids)) // filtered idx -> original idx
+	// The mechanism borrows the round's instance and res.Scaled as they
+	// are; only the first excluded bid makes a candidate copy, of the bids
+	// kept so far, which the rest of the kept bids then extend.
+	filtered, scaled := ins, res.Scaled
+	var mapping []int // filtered idx -> original idx; nil while nothing is excluded
 	for i := range ins.Bids {
 		b := &ins.Bids[i]
 		res.Scaled[i] = b.Price
+		excluded := false
 		if w, ok := m.cfg.Windows[b.Bidder]; ok && !w.Contains(r.T) {
-			res.Excluded = append(res.Excluded, i)
-			continue
+			excluded = true
+		} else if theta, limited := m.cfg.capacityOf(b.Bidder); limited && m.chi[b.Bidder]+len(b.Covers) > theta {
+			excluded = true
 		}
-		theta, limited := m.cfg.capacityOf(b.Bidder)
-		if limited && m.chi[b.Bidder]+len(b.Covers) > theta {
+		if excluded {
+			if mapping == nil {
+				filtered = &Instance{Demand: ins.Demand, Bids: make([]Bid, i, len(ins.Bids))}
+				copy(filtered.Bids, ins.Bids)
+				mapping = make([]int, i, len(ins.Bids))
+				for j := range mapping {
+					mapping[j] = j
+				}
+			}
 			res.Excluded = append(res.Excluded, i)
 			continue
 		}
 		if !m.cfg.DisableScaledPrice {
 			res.Scaled[i] = b.Price + float64(len(b.Covers))*m.psi[b.Bidder]
 		}
-		filtered.Bids = append(filtered.Bids, *b)
-		mapping = append(mapping, i)
+		if mapping != nil {
+			filtered.Bids = append(filtered.Bids, *b)
+			mapping = append(mapping, i)
+		}
+	}
+	if mapping != nil {
+		scaled = make([]float64, len(mapping))
+		for fi, oi := range mapping {
+			scaled[fi] = res.Scaled[oi]
+		}
 	}
 
-	scaledFiltered := make([]float64, len(filtered.Bids))
-	for fi, oi := range mapping {
-		scaledFiltered[fi] = res.Scaled[oi]
-	}
 	if tr != nil {
 		tr.Emit(obs.RoundOpen{
 			Scope: obs.ScopeMSOA, T: r.T,
@@ -235,7 +248,7 @@ func (m *MSOA) RunRound(r Round) *RoundResult {
 	var err error
 	sm, scaledOK := m.mech.(ScaledMechanism)
 	if scaledOK {
-		out, err = sm.ClearScaled(filtered, scaledFiltered, m.cfg.Options)
+		out, err = sm.ClearScaled(filtered, scaled, m.cfg.Options)
 	} else {
 		out, err = m.mech.Clear(filtered, m.cfg.Options)
 	}
@@ -252,18 +265,22 @@ func (m *MSOA) RunRound(r Round) *RoundResult {
 		return res
 	}
 
-	// Re-index the outcome to the original bid indices.
-	remapped := &Outcome{
-		Winners:    make([]int, 0, len(out.Winners)),
-		Payments:   make(map[int]float64, len(out.Payments)),
-		SocialCost: out.SocialCost,
-		ScaledCost: out.ScaledCost,
-		Dual:       out.Dual,
-	}
-	for _, w := range out.Winners {
-		orig := mapping[w]
-		remapped.Winners = append(remapped.Winners, orig)
-		remapped.Payments[orig] = out.Payments[w]
+	// Re-index the outcome to the original bid indices; without exclusions
+	// the indices already are the original ones.
+	remapped := out
+	if mapping != nil {
+		remapped = &Outcome{
+			Winners:    make([]int, 0, len(out.Winners)),
+			Payments:   make(map[int]float64, len(out.Payments)),
+			SocialCost: out.SocialCost,
+			ScaledCost: out.ScaledCost,
+			Dual:       out.Dual,
+		}
+		for _, w := range out.Winners {
+			orig := mapping[w]
+			remapped.Winners = append(remapped.Winners, orig)
+			remapped.Payments[orig] = out.Payments[w]
+		}
 	}
 	res.Outcome = remapped
 

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -112,6 +113,14 @@ func (ins *Instance) Clone() *Instance {
 // prices and units, unique in-range cover entries, and per-bidder unique
 // alternative indices. It returns a descriptive error on the first
 // violation found.
+//
+// On the canonical (Bidder, Alt) order IngestBuffer.Build emits it
+// allocates nothing: while keys ascend, a repeated key can only be the
+// previous bid's, and only once the order breaks are the keys seen so far
+// indexed in a map. Covers are checked pairwise, up to pairwiseCovers of
+// them, and through a map beyond that. The errors are the same in every
+// case: the first violation in bid order, each bid's checks in the order
+// above.
 func (ins *Instance) Validate() error {
 	for k, d := range ins.Demand {
 		if d < 0 {
@@ -119,8 +128,10 @@ func (ins *Instance) Validate() error {
 		}
 	}
 	type altKey struct{ bidder, alt int }
-	seenAlt := make(map[altKey]struct{}, len(ins.Bids))
-	for idx, b := range ins.Bids {
+	var seenAlt map[altKey]struct{} // nil while the keys ascend
+	var prev altKey
+	for idx := range ins.Bids {
+		b := &ins.Bids[idx]
 		if b.Price < 0 || math.IsNaN(b.Price) || math.IsInf(b.Price, 0) {
 			return fmt.Errorf("core: bid %d has invalid price %v", idx, b.Price)
 		}
@@ -130,21 +141,58 @@ func (ins *Instance) Validate() error {
 		if len(b.Covers) == 0 {
 			return fmt.Errorf("core: bid %d covers no needy microservice", idx)
 		}
-		seen := make(map[int]struct{}, len(b.Covers))
-		for _, k := range b.Covers {
-			if k < 0 || k >= len(ins.Demand) {
-				return fmt.Errorf("core: bid %d covers out-of-range needy microservice %d", idx, k)
-			}
-			if _, dup := seen[k]; dup {
-				return fmt.Errorf("core: bid %d covers needy microservice %d twice", idx, k)
-			}
-			seen[k] = struct{}{}
+		if err := validateCovers(idx, b.Covers, len(ins.Demand)); err != nil {
+			return err
 		}
 		key := altKey{b.Bidder, b.Alt}
-		if _, dup := seenAlt[key]; dup {
+		if seenAlt == nil {
+			if idx == 0 || prev.bidder < key.bidder || (prev.bidder == key.bidder && prev.alt < key.alt) {
+				prev = key
+				continue
+			}
+			if key != prev {
+				// The keys stopped ascending: index the prefix, whose keys
+				// are distinct, and look every key up from here on.
+				seenAlt = make(map[altKey]struct{}, len(ins.Bids))
+				for _, p := range ins.Bids[:idx] {
+					seenAlt[altKey{p.Bidder, p.Alt}] = struct{}{}
+				}
+			}
+		}
+		// A nil map here means the key repeats the previous bid's.
+		if _, dup := seenAlt[key]; dup || seenAlt == nil {
 			return fmt.Errorf("core: bidder %d submits duplicate alternative index %d", b.Bidder, b.Alt)
 		}
 		seenAlt[key] = struct{}{}
+	}
+	return nil
+}
+
+// pairwiseCovers is the cover-set size up to which validateCovers checks
+// duplicates pairwise instead of through a map.
+const pairwiseCovers = 16
+
+// validateCovers checks that bid idx's covers index into nk needy
+// microservices and are unique, reporting the first offending entry.
+func validateCovers(idx int, covers []int, nk int) error {
+	var seen map[int]struct{}
+	if len(covers) > pairwiseCovers {
+		seen = make(map[int]struct{}, len(covers))
+	}
+	for j, k := range covers {
+		if k < 0 || k >= nk {
+			return fmt.Errorf("core: bid %d covers out-of-range needy microservice %d", idx, k)
+		}
+		dup := false
+		if seen != nil {
+			_, dup = seen[k]
+			seen[k] = struct{}{}
+		} else {
+			dup = slices.Contains(covers[:j], k)
+		}
+		if dup {
+			return fmt.Errorf("core: bid %d covers needy microservice %d twice", idx, k)
+		}
 	}
 	return nil
 }

@@ -31,12 +31,6 @@ const (
 	DefaultWriteTimeout = 2 * time.Second
 )
 
-// ingestShards is the needy-partition shard count of each round's
-// IngestBuffer (see core.NewIngestBuffer): bids append into the shard of
-// the first needy microservice they cover, keeping each shard's cover
-// arena contiguous for its partition.
-const ingestShards = 8
-
 // broadcastWorkers bounds the announce/result fan-out concurrency: up to
 // this many sessions are written in parallel, each still under the
 // per-session write timeout.
@@ -180,6 +174,10 @@ type session struct {
 	// first+i's gather state at index i.
 	pendingIn int
 	slots     []agentSlot
+
+	// notes is the read loop's scratch for one frame's deferred work
+	// (ingestSubmit); only the session's own read loop touches it.
+	notes []ingestNote
 }
 
 // agentSlot is one agent's gather state. Its fields are stamped with
@@ -208,7 +206,7 @@ func (ss *session) owns(id int) bool { return id >= ss.first && id < ss.first+ss
 func cmpFirst(ss *session, first int) int { return cmp.Compare(ss.first, first) }
 
 // roundState is the per-round bookkeeping: the announced session set,
-// the gather window (pending count, shard ingest buffers) and the fan-out
+// the gather window (pending count, ingest buffer) and the fan-out
 // scratch. States are pooled on the server's free list so back-to-back
 // rounds reuse the same allocations; in pipelined mode two states are
 // live at once (round t settling, round t+1 gathering).
@@ -227,7 +225,7 @@ type roundState struct {
 
 	// gather window, guarded by Server.gmu while open. pending counts the
 	// announced agents of live sessions that have not answered.
-	buf         *core.IngestBuffer
+	buf         core.IngestBuffer
 	pending     int
 	open        bool
 	doneClosed  bool
@@ -258,11 +256,11 @@ func (s *Server) getRoundState() *roundState {
 		s.freeRounds = s.freeRounds[:n-1]
 		return rs
 	}
-	return &roundState{buf: core.NewIngestBuffer(ingestShards)}
+	return &roundState{}
 }
 
 // putRoundState returns a state to the free list. Callers must be done
-// with every aliasing view (rs.ins bids alias rs.buf arenas).
+// with every aliasing view (rs.ins bids alias rs.buf's arena).
 func (s *Server) putRoundState(rs *roundState) {
 	rs.t = 0
 	rs.demand = nil
@@ -494,98 +492,125 @@ func (s *Server) handle(ctx context.Context, c *conn) {
 	}
 }
 
-// ingestSubmit routes one decoded bid message to the per-agent ingest
-// path: each Multi entry separately for a multiplexed session, or the
-// session's sole agent for the plain form.
+// ingestSubmit applies one decoded bid message to the open gather window
+// under a single hold of the gather lock: every Multi entry of a
+// multiplexed session, or the session's sole agent for the plain form.
+// Sessions own disjoint id ranges and list their agents in ascending
+// order, so a whole batch lands in the ingest buffer as one ascending run
+// that Build's merge emits whole, without a cut (core.IngestBuffer).
+//
+// Per agent, admission runs first (token bucket, then the per-round queue
+// bound), then the mechanism-safety rules the serial engine enforced in
+// its gather loop: only sessions the round's announce counted may bid
+// into it (one that registered after the announce was welcomed into the
+// next round), a stale round tag is discarded with the agent kept
+// pending, and only the first current-round submission counts — a
+// resubmission could game the critical payment. Rejects, log lines,
+// metrics and trace events wait until the lock is released and then go
+// out in the frame's agent order.
 func (s *Server) ingestSubmit(sess *session, msg *BidSubmitMsg) {
 	now := time.Now()
-	if len(msg.Multi) > 0 {
-		for i := range msg.Multi {
-			ab := &msg.Multi[i]
-			if !sess.owns(ab.Agent) {
-				s.logger.Printf("session %d submitted for foreign agent %d", sess.first, ab.Agent)
-				continue
-			}
-			s.ingestBid(sess, ab.Agent, msg.T, ab.Bids, now)
-		}
-		return
-	}
-	s.ingestBid(sess, sess.first, msg.T, msg.Bids, now)
-}
+	multi := len(msg.Multi) > 0
+	n := max(len(msg.Multi), 1)
+	notes := sess.notes[:0]
+	var t int
+	var rtt time.Duration
 
-// ingestBid applies one agent's submission directly into the open gather
-// window. Only sessions the round's announce counted may bid into it: a
-// session that registered after the announce was welcomed into the next
-// round. Admission checks run first (token bucket, then the per-round
-// queue bound), then the mechanism-safety rules the serial engine
-// enforced in its gather loop: a stale round tag is discarded with the
-// agent kept pending, and only the first current-round submission counts
-// — a resubmission could game the critical payment.
-func (s *Server) ingestBid(sess *session, id, tag int, bids []WireBid, now time.Time) {
-	if s.adm != nil {
-		if ok, wait := s.adm.allowBid(id, now); !ok {
-			s.reject(sess, &RejectMsg{T: tag, Agent: id, Code: RejectRateLimited, RetryAfterMillis: wait.Milliseconds()})
-			return
-		}
-	}
 	s.gmu.Lock()
 	g := s.gather
-	if g == nil || !g.open || sess.pendingIn != g.t || sess.dead.Load() {
-		// No open round, a session the round did not count, or one already
-		// deregistered: the submission is necessarily stale. The serial
-		// engine drained these at announce time; direct ingest drops them
-		// on arrival.
-		s.gmu.Unlock()
-		return
+	// Without an open round, in a round that did not count the session, or
+	// once the session is deregistered, the frame is necessarily stale.
+	// The serial engine drained such submissions at announce time; direct
+	// ingest drops them on arrival.
+	live := g != nil && g.open && sess.pendingIn == g.t && !sess.dead.Load()
+	if live {
+		t = g.t
+		rtt = now.Sub(g.announcedAt)
 	}
-	t := g.t
-	slot := &sess.slots[id-sess.first]
-	if s.adm != nil && s.adm.cfg.QueueBound > 0 {
-		if slot.counted != t {
-			slot.counted, slot.submits = t, 0
+	for i := 0; i < n; i++ {
+		id, bids := sess.first, msg.Bids
+		if multi {
+			ab := &msg.Multi[i]
+			if !sess.owns(ab.Agent) {
+				notes = append(notes, ingestNote{id: ab.Agent, foreign: true})
+				continue
+			}
+			id, bids = ab.Agent, ab.Bids
 		}
-		slot.submits++
-		if slot.submits > s.adm.cfg.QueueBound {
-			s.gmu.Unlock()
-			s.reject(sess, &RejectMsg{T: tag, Agent: id, Code: RejectQueueFull})
-			return
+		if s.adm != nil {
+			if ok, wait := s.adm.allowBid(id, now); !ok {
+				notes = append(notes, ingestNote{id: id, reject: RejectRateLimited, wait: wait})
+				continue
+			}
 		}
+		if !live {
+			continue
+		}
+		slot := &sess.slots[id-sess.first]
+		if s.adm != nil && s.adm.cfg.QueueBound > 0 {
+			if slot.counted != t {
+				slot.counted, slot.submits = t, 0
+			}
+			slot.submits++
+			if slot.submits > s.adm.cfg.QueueBound {
+				notes = append(notes, ingestNote{id: id, reject: RejectQueueFull})
+				continue
+			}
+		}
+		// A stale round tag is dropped but the agent KEEPS pending: its
+		// forthcoming current-round bid must still count. A resubmission
+		// keeps the first and does not decrement pending again, or the
+		// round could clear while an honest agent is still pending.
+		if msg.T != t || slot.answered == t {
+			continue
+		}
+		slot.answered = t
+		for j := range bids {
+			wb := &bids[j]
+			g.buf.Add(id, wb.Alt, wb.Price, wb.Covers, wb.Units)
+		}
+		g.pending--
+		if s.tracer != nil {
+			g.traced.Add(1)
+		}
+		notes = append(notes, ingestNote{id: id, bids: len(bids)})
 	}
-	if tag != t {
-		// Stale round tag: discard the message but KEEP the agent pending —
-		// its forthcoming current-round bid must still count.
-		s.gmu.Unlock()
-		return
-	}
-	if slot.answered == t {
-		// Resubmission for the current round: keep the first, and do not
-		// decrement pending again, or the round could clear while an honest
-		// agent is still pending.
-		s.gmu.Unlock()
-		return
-	}
-	slot.answered = t
-	for i := range bids {
-		wb := &bids[i]
-		g.buf.Add(id, wb.Alt, wb.Price, wb.Covers, wb.Units)
-	}
-	g.pending--
-	g.closeIfAnswered()
-	rtt := now.Sub(g.announcedAt)
-	if s.tracer != nil {
-		g.traced.Add(1)
+	if live {
+		g.closeIfAnswered()
 	}
 	s.gmu.Unlock()
+	sess.notes = notes
 
-	s.mBids.Add(int64(len(bids)))
-	s.mBidRTT.Observe(float64(rtt.Microseconds()))
-	if s.adm != nil {
-		s.adm.recordSuccess(id)
+	for i := range notes {
+		nt := &notes[i]
+		switch {
+		case nt.foreign:
+			s.logger.Printf("session %d submitted for foreign agent %d", sess.first, nt.id)
+		case nt.reject != "":
+			s.reject(sess, &RejectMsg{T: msg.T, Agent: nt.id, Code: nt.reject, RetryAfterMillis: nt.wait.Milliseconds()})
+		default:
+			s.mBids.Add(int64(nt.bids))
+			s.mBidRTT.Observe(float64(rtt.Microseconds()))
+			if s.adm != nil {
+				s.adm.recordSuccess(nt.id)
+			}
+			if s.tracer != nil {
+				s.tracer.Emit(obs.BidReceived{T: t, ID: nt.id, Bids: nt.bids, RTTMicros: rtt.Microseconds()})
+				g.traced.Done()
+			}
+		}
 	}
-	if s.tracer != nil {
-		s.tracer.Emit(obs.BidReceived{T: t, ID: id, Bids: len(bids), RTTMicros: rtt.Microseconds()})
-		g.traced.Done()
-	}
+}
+
+// ingestNote is what one agent of an ingested frame leaves to do once the
+// gather lock is released: a log line for a foreign agent, a reject, or
+// the metrics and trace event of an accepted submission.
+type ingestNote struct {
+	id      int
+	foreign bool
+	reject  string        // a Reject* code; "" when not shed
+	wait    time.Duration // the token bucket's retry hint
+	bids    int           // accepted bids
 }
 
 // reject sends a typed backpressure reply. A peer that cannot take the
@@ -847,7 +872,7 @@ func (s *Server) awaitGather(ctx context.Context, rs *roundState) error {
 
 	// The ingest buffer re-emits every bid in canonical (Bidder, Alt)
 	// order, so the instance — and everything downstream — is independent
-	// of arrival order and shard routing.
+	// of arrival order.
 	rs.ins = rs.buf.Build()
 	if s.tracer != nil {
 		s.tracer.Emit(obs.StageLatency{T: t, Stage: "gather", DurationMicros: time.Since(rs.started).Microseconds()})
